@@ -6,16 +6,18 @@ built on them.
 A word is a braid-like diagram read left to right; each letter crosses the
 strands occupying positions p..q at a single point and reverses their order.
 Reading the strand labels at each crossing yields a Gauss word, and the
-resulting map into the Gauss-diagram group is injective.  Equality of cacti is
-therefore decided by canonical forms on the Gauss side, while reduction and
-canonical representatives of the cactus words themselves use the exchange
-moves lifted back from the commutations.
+resulting map into the Gauss-diagram group is an injective 1-cocycle.  So the
+rewriting happens on the Gauss side only: a cactus is trivial iff its reading
+reduces to the empty word, and u = v iff u v^-1 is trivial.  Reduced and
+canonical cactus words are re-spellings of the reduced and canonical Gauss
+words: replayed from the start, each Gauss letter finds its strands in one
+block of positions p..q and is spelled s(p, q).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from . import racg
 from .perm import Permutation
@@ -106,6 +108,18 @@ class ReadResult:
     perm: Permutation
 
 
+def walk(
+    letters: Iterable[CactusLetter], labels: list[int]
+) -> Iterator[tuple[CactusLetter, list[int]]]:
+    """The diagram walk.  labels[pos - 1] is the strand at position pos; for
+    each letter, yield it with the block of labels at positions p..q, then
+    reverse that block in place, so labels ends as the final label state."""
+    for letter in letters:
+        block = labels[letter.p - 1 : letter.q]
+        yield letter, block
+        labels[letter.p - 1 : letter.q] = block[::-1]
+
+
 def read_diagram(w: CactusWord) -> ReadResult:
     """Simulate the diagram: at each letter record the labels sitting at
     positions p..q, then reverse that block.
@@ -114,16 +128,9 @@ def read_diagram(w: CactusWord) -> ReadResult:
     >>> str(r.gauss), str(r.perm)
     ('t{1,2} t{1,3,4} t{2,3,4}', '(4,3,1,2)')
     """
-    labels = list(range(1, w.n + 1))  # labels[pos - 1] = strand currently at pos
-    out = []
-    for letter in w.letters:
-        block = labels[letter.p - 1 : letter.q]
-        out.append(GaussLetter(tuple(sorted(block))))
-        labels[letter.p - 1 : letter.q] = block[::-1]
-    images = [0] * w.n
-    for pos, strand in enumerate(labels, start=1):
-        images[strand - 1] = pos
-    return ReadResult(GaussWord(w.n, tuple(out)), Permutation(tuple(images)))
+    labels = list(range(1, w.n + 1))
+    out = tuple(GaussLetter(tuple(sorted(block))) for _, block in walk(w.letters, labels))
+    return ReadResult(GaussWord(w.n, out), Permutation(tuple(labels)).inverse())
 
 
 def s_image(w: CactusWord) -> Permutation:
@@ -153,117 +160,83 @@ def exchange_left(x: CactusLetter, y: CactusLetter) -> tuple[CactusLetter, Cactu
     return None
 
 
-def _find_cancellation(letters: list[CactusLetter]) -> tuple[int, int] | None:
-    # Walk each letter leftwards through exchange moves, transforming it as it
-    # passes enclosing letters; it annihilates with the first equal letter met
-    # and is blocked for good by an overlapping one.
-    for j in range(1, len(letters)):
-        moving = letters[j]
-        for i in range(j - 1, -1, -1):
-            if letters[i] == moving:
-                return (i, j)
-            ex = exchange_left(letters[i], moving)
-            if ex is None:
-                break
-            moving = ex[0]
-    return None
+def _span(labels: list[int], mask: int) -> tuple[int, int]:
+    """First and last position of the strands in a label mask."""
+    inside = [pos for pos, strand in enumerate(labels, start=1) if mask >> strand & 1]
+    return inside[0], inside[-1]
 
 
-def _apply_cancellation(letters: list[CactusLetter], i: int, j: int) -> list[CactusLetter]:
-    work = list(letters)
-    for k in range(j, i + 1, -1):
-        moved, stayed = exchange_left(work[k - 1], work[k])
-        work[k - 1], work[k] = moved, stayed
-    assert work[i] == work[i + 1]
-    del work[i : i + 2]
-    return work
+def _respell(n: int, masks: Iterable[int], labels: list[int]) -> CactusWord:
+    """Spell each Gauss letter, given by its label mask, as the interval its
+    strands occupy, crossing it before the next is spelled."""
+    out = []
+    for mask in masks:
+        p, q = _span(labels, mask)
+        assert q - p + 1 == mask.bit_count(), f"labels {mask:b} are not one block"
+        out.append(CactusLetter(p, q))
+        labels[p - 1 : q] = labels[p - 1 : q][::-1]
+    return CactusWord(n, tuple(out))
+
+
+def _push_reading(
+    letters: Iterable[CactusLetter], labels: list[int], reduced: list[int]
+) -> list[int]:
+    """Push the Gauss letters that `letters` read from the label state, as
+    label masks, onto a reduced word and return it."""
+    for _, block in walk(letters, labels):
+        racg.push_letter(reduced, racg.label_mask(block), racg.masks_commute)
+    return reduced
 
 
 def reduce(w: CactusWord) -> CactusWord:
     """An irreducible word for the same cactus; empty iff the cactus is trivial.
 
-    Repeatedly exchange-moves a letter onto an equal earlier letter and kills
-    the pair (the diagrammatic bigon killing).  The length of the result is
-    the geodesic length of the element.
+    The reading is reduced on the Gauss side, each cancellation being the
+    bigon killing that exchange moves bring together, and re-spelled.  The
+    length of the result is the geodesic length of the element.
 
     >>> str(reduce(word(4, [(1, 4), (1, 2), (1, 4), (3, 4)])))
     ''
     """
-    letters = list(w.letters)
-    while True:
-        hit = _find_cancellation(letters)
-        if hit is None:
-            return CactusWord(w.n, tuple(letters))
-        letters = _apply_cancellation(letters, *hit)
-
-
-def reduce_with_trace(w: CactusWord) -> tuple[CactusWord, frozenset[CactusLetter]]:
-    """reduce(), also reporting every letter that appeared along the way
-    (including intermediates created by conjugating exchanges)."""
-    letters = list(w.letters)
-    seen = set(letters)
-    while True:
-        hit = _find_cancellation(letters)
-        if hit is None:
-            return CactusWord(w.n, tuple(letters)), frozenset(seen)
-        letters = _apply_cancellation(letters, *hit)
-        seen.update(letters)
+    reduced = _push_reading(w.letters, list(range(1, w.n + 1)), [])
+    return _respell(w.n, reduced, list(range(1, w.n + 1)))
 
 
 def canonical(w: CactusWord) -> CactusWord:
     """Canonical representative: greedily emit the least letter (in (p, q)
     order) that exchange moves can bring to the front.
 
-    Front-reachable letters of an irreducible word are pairwise distinct once
-    moved to the front, so the greedy choice is well defined and two words
-    represent the same cactus iff their canonical forms coincide letterwise.
+    A letter can reach the front exactly when its Gauss letter is a source of
+    the non-commutation DAG of the reduced reading, and there it is spelled
+    under the current label state; the sources have distinct spellings, so
+    the greedy choice is well defined and two words represent the same cactus
+    iff their canonical forms coincide letterwise.
 
     >>> str(canonical(word(4, [(3, 4), (1, 2)])))
     's(1,2) s(3,4)'
     >>> str(canonical(word(4, [(1, 4), (1, 2)])))
     's(1,4) s(1,2)'
     """
-    rest = list(reduce(w).letters)
-    out = []
-    while rest:
-        best_j, best_letter = 0, rest[0]
-        for j in range(1, len(rest)):
-            moving = rest[j]
-            for i in range(j - 1, -1, -1):
-                ex = exchange_left(rest[i], moving)
-                if ex is None:
-                    moving = None
-                    break
-                moving = ex[0]
-            if moving is not None and moving < best_letter:
-                best_j, best_letter = j, moving
-        for k in range(best_j, 0, -1):
-            moved, stayed = exchange_left(rest[k - 1], rest[k])
-            rest[k - 1], rest[k] = moved, stayed
-        front = rest.pop(0)
-        assert front == best_letter
-        out.append(front)
-    return CactusWord(w.n, tuple(out))
+    reduced = _push_reading(w.letters, list(range(1, w.n + 1)), [])
+    labels = list(range(1, w.n + 1))
+    front = racg.least_linearization(reduced, racg.masks_commute, key=lambda m: _span(labels, m))
+    return _respell(w.n, front, labels)
 
 
 def equal(u: CactusWord, v: CactusWord) -> bool:
-    """Decide equality in J_n on the Gauss side, where the reading map is
-    injective and the word problem is a canonical-form comparison.
+    """Decide equality in J_n as triviality of u v^-1, by one reduction on
+    the Gauss side, where the reading map is injective.
 
     >>> equal(word(3, [(1, 2), (2, 3), (1, 2)]), word(3, [(2, 3), (1, 2), (2, 3)]))
     False
     >>> equal(word(4, [(1, 4), (1, 2), (1, 4)]), word(4, [(3, 4)]))
     True
     """
-    if u.n != v.n:
-        raise ValueError(f"size mismatch: {u.n} vs {v.n}")
-    cu = racg.canonical_letters(read_diagram(u).gauss.letters, racg.commutes)
-    cv = racg.canonical_letters(read_diagram(v).gauss.letters, racg.commutes)
-    return cu == cv
+    return is_trivial(u * v.inverse())
 
 
 def is_trivial(w: CactusWord) -> bool:
-    return not racg.reduce_letters(read_diagram(w).gauss.letters, racg.commutes)
+    return not _push_reading(w.letters, list(range(1, w.n + 1)), [])
 
 
 def geodesic_length(w: CactusWord) -> int:
@@ -288,13 +261,10 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
     labels = list(range(1, c.n + 1))
-    reduced: list[GaussLetter] = []
+    reduced: list[int] = []
     step = 0
     for k in range(1, bound + 1):
-        for letter in c.letters:
-            block = labels[letter.p - 1 : letter.q]
-            racg.push_letter(reduced, GaussLetter(tuple(sorted(block))), racg.commutes)
-            labels[letter.p - 1 : letter.q] = block[::-1]
+        _push_reading(c.letters, labels, reduced)
         if not reduced:
             return k
         if k == 1:

@@ -12,17 +12,10 @@ import argparse
 import json
 import sys
 
-from . import cactus, selftest, subgroups, syntax
+from . import cactus, presentation, selftest, subgroups, syntax
 from .presentation import abelianization, builtin
 from .render import render_svg
-from .rschreier import (
-    build_transversal,
-    rs_generators,
-    rs_presentation,
-    rs_relators,
-    strand_images,
-    verify_pj4,
-)
+from .rschreier import build_transversal, rs_generators, rs_relators, strand_images, verify_pj4
 from .subgroups import IntervalCollection
 
 
@@ -210,14 +203,18 @@ def _run_rs(args: argparse.Namespace) -> int:
     else:
         raise SystemExit2("rs needs --images or --strands (or --builtin)")
     transversal = build_transversal(pres, images)
+    generators = tuple(g.name for g in rs_generators(transversal))
     raw = rs_relators(pres, transversal)
-    result = rs_presentation(pres, images, budget=args.budget)
+    # called through its module, so that per-layer tracing of presentation sees it
+    result = presentation.tietze_simplify(
+        presentation.Presentation(generators, tuple(raw)), args.budget
+    )
     simplified = result.presentation
     rank, factors = abelianization(simplified)
     if args.json:
         print(json.dumps({
             "cosets": len(transversal),
-            "raw_generators": [g.name for g in rs_generators(transversal)],
+            "raw_generators": list(generators),
             "raw_relator_count": len(raw),
             "generators": list(simplified.generators),
             "relators": [[[name, e] for name, e in rel] for rel in simplified.relators],
@@ -226,7 +223,7 @@ def _run_rs(args: argparse.Namespace) -> int:
         }))
     else:
         print(f"cosets: {len(transversal)}")
-        print(f"nontrivial generators: {len(rs_generators(transversal))}")
+        print(f"nontrivial generators: {len(generators)}")
         print(f"relators before simplification: {len(raw)}")
         print(f"simplified generators: {', '.join(simplified.generators) or '(none)'}")
         for rel in simplified.relators:

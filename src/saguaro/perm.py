@@ -100,11 +100,6 @@ class Permutation:
         return "(" + ",".join(str(x) for x in self.images) + ")"
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Diagram-order product: ``compose(a, b)(i) = b(a(i))``."""
-    return a * b
-
-
 def flop_subgroup_order(n: int, i: int) -> int:
     """Order of the subgroup of S_n generated by all width-i interval reversals.
 

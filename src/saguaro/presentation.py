@@ -132,6 +132,15 @@ class _Descending:
         return isinstance(other, _Descending) and self.key == other.key
 
 
+def _solvable(p: Presentation):
+    """(relator index, generator) pairs where the generator occurs exactly once
+    in the relator, so the relator can be solved for it."""
+    for ri, rel in enumerate(p.relators):
+        for name, count in Counter(name for name, _ in rel).items():
+            if count == 1:
+                yield ri, name
+
+
 def tietze_step(p: Presentation) -> Presentation | None:
     """One generator elimination, or None when no relator offers one.
 
@@ -145,29 +154,26 @@ def tietze_step(p: Presentation) -> Presentation | None:
     """
     p = _cleanup(p)
     best = None
-    for ri, rel in enumerate(p.relators):
-        counts = Counter(name for name, _ in rel)
-        for name, count in counts.items():
-            if count != 1:
+    for ri, name in _solvable(p):
+        rel = p.relators[ri]
+        pos = next(i for i, (g, _) in enumerate(rel) if g == name)
+        before, after = rel[:pos], rel[pos + 1 :]
+        if rel[pos][1] == 1:
+            replacement = free_reduce(invert_word(before) + invert_word(after))
+        else:
+            replacement = free_reduce(after + before)
+        total = 0
+        new_relators = []
+        for rj, other in enumerate(p.relators):
+            if rj == ri:
                 continue
-            pos = next(i for i, (g, _) in enumerate(rel) if g == name)
-            before, after = rel[:pos], rel[pos + 1 :]
-            if rel[pos][1] == 1:
-                replacement = free_reduce(invert_word(before) + invert_word(after))
-            else:
-                replacement = free_reduce(after + before)
-            total = 0
-            new_relators = []
-            for rj, other in enumerate(p.relators):
-                if rj == ri:
-                    continue
-                substituted = cyclic_reduce(_substitute(other, name, replacement))
-                new_relators.append(substituted)
-                total += len(substituted)
-            candidate = ((total, len(rel), _Descending(_natural_key(name)), ri),
-                         name, new_relators)
-            if best is None or candidate[0] < best[0]:
-                best = candidate
+            substituted = cyclic_reduce(_substitute(other, name, replacement))
+            new_relators.append(substituted)
+            total += len(substituted)
+        candidate = ((total, len(rel), _Descending(_natural_key(name)), ri),
+                     name, new_relators)
+        if best is None or candidate[0] < best[0]:
+            best = candidate
     if best is None:
         return None
     _, name, new_relators = best
@@ -203,7 +209,7 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPresentati
             return SimplifiedPresentation(current, steps, False)
         current = next_p
         steps += 1
-    exhausted = tietze_step(current) is not None
+    exhausted = next(_solvable(current), None) is not None
     return SimplifiedPresentation(current, steps, exhausted)
 
 

@@ -6,30 +6,43 @@ only other relations are commutations, supplied as a symmetric predicate.  On
 such groups two facts drive everything here: a word is shortened exactly by
 deleting two equal letters separated only by letters commuting with them, and
 all shortest representatives of an element form a single commutation class.
-The canonical form is therefore the lexicographically least linearization of
-an irreducible representative.
+Reduction pushes letters one at a time onto a reduced word; equality is one
+reduction of u v^-1; the canonical form is the lexicographically least
+linearization of an irreducible representative, found by Kahn's algorithm
+over its non-commutation DAG (the lexicographic normal form of a trace).
 
 The concrete alphabet used throughout the package is the Gauss-diagram
 alphabet: a letter carries a set of strand labels, and two letters commute
-when their label sets are disjoint or nested.  Width-restricted diagram
-groups reuse the same engine with a disjointness-only predicate.
+when their label sets are disjoint or nested, a test on two bit masks.
+Width-restricted diagram groups reuse the same engine with a
+disjointness-only predicate.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TypeVar
 
 L = TypeVar("L")
 
 CommutationPredicate = Callable[[L, L], bool]
 
+_BIT = (1).__lshift__  # label x -> 2**x
+
+
+def label_mask(labels: Iterable[int]) -> int:
+    """The bit mask of a set of distinct labels: the sum of 2**x."""
+    return sum(map(_BIT, labels))
+
 
 @dataclasses.dataclass(frozen=True, order=True)
 class GaussLetter:
     """An involution named by a label set of size >= 2, stored sorted.
+
+    The same set is also kept as its label mask, which the commutation
+    predicates test; it takes no part in comparison, hashing or repr.
 
     The order on letters is the tuple order on the sorted labels, so a letter
     precedes its own extensions: t{1,2} < t{1,2,3} < t{1,3}.
@@ -39,21 +52,21 @@ class GaussLetter:
     """
 
     labels: tuple[int, ...]
+    mask: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.labels) < 2 or list(self.labels) != sorted(set(self.labels)):
-            raise ValueError(f"labels must be >= 2 distinct sorted values: {self.labels!r}")
-
-    @staticmethod
-    def of(labels: Iterable[int]) -> GaussLetter:
-        return GaussLetter(tuple(sorted(labels)))
+        labels = self.labels
+        if (len(labels) < 2 or labels[0] < 0 or list(labels) != sorted(labels)
+                or (mask := label_mask(labels)).bit_count() != len(labels)):
+            raise ValueError(f"labels must be >= 2 distinct sorted values: {labels!r}")
+        object.__setattr__(self, "mask", mask)
 
     def __str__(self) -> str:
         return "t{" + ",".join(str(x) for x in self.labels) + "}"
 
 
 def tau(*labels: int) -> GaussLetter:
-    return GaussLetter.of(labels)
+    return GaussLetter(tuple(sorted(labels)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,8 +91,10 @@ class GaussWord:
         return " ".join(str(letter) for letter in self.letters)
 
 
-_COMMUTE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-_DISJOINT_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+def masks_commute(a: int, b: int) -> bool:
+    """Gauss-diagram commutation on label masks, themselves an alphabet."""
+    c = a & b
+    return c == 0 or c == a or c == b
 
 
 def commutes(a: GaussLetter, b: GaussLetter) -> bool:
@@ -90,23 +105,12 @@ def commutes(a: GaussLetter, b: GaussLetter) -> bool:
     >>> commutes(tau(1, 2), tau(1, 3))
     False
     """
-    key = (a.labels, b.labels)
-    cached = _COMMUTE_CACHE.get(key)
-    if cached is None:
-        sa, sb = set(a.labels), set(b.labels)
-        cached = sa.isdisjoint(sb) or sa <= sb or sb <= sa
-        _COMMUTE_CACHE[key] = _COMMUTE_CACHE[(b.labels, a.labels)] = cached
-    return cached
+    return masks_commute(a.mask, b.mask)
 
 
 def commutes_disjoint(a: GaussLetter, b: GaussLetter) -> bool:
     """Width-restricted commutation: label sets disjoint only."""
-    key = (a.labels, b.labels)
-    cached = _DISJOINT_CACHE.get(key)
-    if cached is None:
-        cached = set(a.labels).isdisjoint(b.labels)
-        _DISJOINT_CACHE[key] = _DISJOINT_CACHE[(b.labels, a.labels)] = cached
-    return cached
+    return not a.mask & b.mask
 
 
 def push_letter(out: list[L], letter: L, commute: CommutationPredicate) -> None:
@@ -147,27 +151,45 @@ def cancellable_pairs(letters: Sequence[L], commute: CommutationPredicate) -> li
     return pairs
 
 
+def least_linearization(
+    letters: Sequence[L], commute: CommutationPredicate, key: Callable[[L], object] | None = None
+) -> Iterator[L]:
+    """Yield a reduced word in the lexicographically least order, by key, that
+    its commutation class allows.
+
+    Kahn's algorithm over the non-commutation DAG (i -> j for i < j whose
+    letters do not commute): each step emits the least source.  Sources
+    pairwise commute and, the word being reduced, are pairwise distinct, so
+    the choice is unambiguous.  The key is evaluated lazily, after the
+    consumer has handled the previous letter, so it may read state that the
+    consumer updates as it goes.
+    """
+    successors: list[list[int]] = [[] for _ in letters]
+    blockers = [0] * len(letters)
+    for j, b in enumerate(letters):
+        for i in range(j):
+            if not commute(letters[i], b):
+                successors[i].append(j)
+                blockers[j] += 1
+    sources = [j for j, count in enumerate(blockers) if not count]
+    by_key = letters.__getitem__ if key is None else lambda j: key(letters[j])
+    while sources:
+        best = min(sources, key=by_key) if len(sources) > 1 else sources[0]
+        sources.remove(best)
+        yield letters[best]
+        for j in successors[best]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                sources.append(j)
+
+
 def canonical_letters(letters: Sequence[L], commute: CommutationPredicate) -> tuple[L, ...]:
     """The least word, letter by letter, in the commutation class of a reduction.
 
-    Greedily emits the smallest letter that commutes with everything before
-    it.  In a reduced word no two equal letters are simultaneously movable to
-    the front (they would cancel), so the choice is unambiguous and the result
-    depends only on the group element.
+    It depends only on the group element, since all reduced words of an
+    element form one commutation class.
     """
-    rest = list(reduce_letters(letters, commute))
-    out: list[L] = []
-    while rest:
-        best = 0
-        for j in range(1, len(rest)):
-            if rest[j] < rest[best] and all(commute(rest[i], rest[j]) for i in range(j)):
-                best = j
-        out.append(rest.pop(best))
-    return tuple(out)
-
-
-def equal_letters(u: Sequence[L], v: Sequence[L], commute: CommutationPredicate) -> bool:
-    return canonical_letters(u, commute) == canonical_letters(v, commute)
+    return tuple(least_linearization(reduce_letters(letters, commute), commute))
 
 
 def letter_multiset(letters: Sequence[L], commute: CommutationPredicate) -> Counter:
@@ -194,6 +216,11 @@ def racg_canonical(w: GaussWord) -> GaussWord:
 
 
 def racg_equal(u: GaussWord, v: GaussWord) -> bool:
+    """Equality as one reduction: u = v iff u v^-1 reduces to the empty word.
+
+    >>> racg_equal(GaussWord(4, (tau(3, 4), tau(1, 2))), GaussWord(4, (tau(1, 2), tau(3, 4))))
+    True
+    """
     if u.n != v.n:
         raise ValueError(f"size mismatch: {u.n} vs {v.n}")
-    return racg_canonical(u).letters == racg_canonical(v).letters
+    return not reduce_letters(u.letters + tuple(reversed(v.letters)), commutes)

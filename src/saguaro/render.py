@@ -10,7 +10,7 @@ golden-file comparison.
 
 from __future__ import annotations
 
-from .cactus import CactusWord
+from .cactus import CactusWord, walk
 
 TRACK = 24  # vertical distance between strand tracks
 COLUMN = 36  # horizontal advance per letter
@@ -33,27 +33,24 @@ def render_svg(w: CactusWord, labels: bool = False) -> str:
     def y(pos: int) -> int:
         return MARGIN + TRACK * (pos - 1)
 
-    position = {strand: strand for strand in range(1, w.n + 1)}  # strand -> track
+    tracks = list(range(1, w.n + 1))  # tracks[pos - 1] = strand on that track
     points: dict[int, list[tuple[float, float]]] = {
-        strand: [(0, y(strand))] for strand in range(1, w.n + 1)
+        strand: [(0, y(strand))] for strand in tracks
     }
     crossing_texts = []
     x = MARGIN
-    for letter in w.letters:
+    for letter, block in walk(w.letters, tracks):
         meeting_y = (y(letter.p) + y(letter.q)) / 2
-        involved = [s for s, pos in position.items() if letter.p <= pos <= letter.q]
-        for strand in involved:
-            new_pos = letter.p + letter.q - position[strand]
-            points[strand].append((x, y(position[strand])))
+        for pos, strand in enumerate(block, start=letter.p):
+            points[strand].append((x, y(pos)))
             points[strand].append((x + COLUMN / 2, meeting_y))
-            points[strand].append((x + COLUMN, y(new_pos)))
-            position[strand] = new_pos
+            points[strand].append((x + COLUMN, y(letter.p + letter.q - pos)))
         if labels:
-            text = ",".join(str(s) for s in sorted(involved))
+            text = ",".join(str(s) for s in sorted(block))
             crossing_texts.append((x + COLUMN / 2, height - 4, "{" + text + "}"))
         x += COLUMN
-    for strand in range(1, w.n + 1):
-        points[strand].append((width, y(position[strand])))
+    for pos, strand in enumerate(tracks, start=1):
+        points[strand].append((width, y(pos)))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'

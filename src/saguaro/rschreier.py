@@ -222,13 +222,31 @@ def rs_presentation(
 
 
 def strand_images(p: Presentation, n: int) -> dict[str, Permutation]:
-    """Interpret generator names s<p><q> as interval reversals of S_n."""
+    """Interpret generator names s<p><q> as interval reversals of S_n.
+
+    The digits are split as p and q with 1 <= p < q <= n and no leading zero;
+    a name with no such split, or with more than one, is rejected.
+
+    >>> images = strand_images(Presentation(('s12', 's110'), ()), 10)
+    >>> images['s110'] == Permutation.interval_reversal(10, 1, 10)
+    True
+    """
     images = {}
     for name in p.generators:
-        digits = name.lstrip("s")
-        if not (name.startswith("s") and len(digits) == 2 and digits.isdigit()):
-            raise ValueError(f"cannot infer an interval from generator name {name!r}")
-        images[name] = Permutation.interval_reversal(n, int(digits[0]), int(digits[1]))
+        digits = name[1:]
+        splits = []
+        # p and q have at most as many digits as n, which bounds the work
+        short = len(digits) <= 2 * len(str(n))
+        if name.startswith("s") and digits.isascii() and digits.isdigit() and short:
+            for k in range(1, len(digits)):
+                a, b = digits[:k], digits[k:]
+                if a[0] != "0" and b[0] != "0" and 1 <= int(a) < int(b) <= n:
+                    splits.append((int(a), int(b)))
+        if not splits:
+            raise ValueError(f"cannot infer an interval from generator name {name!r} for n={n}")
+        if len(splits) > 1:
+            raise ValueError(f"generator name {name!r} is ambiguous for n={n}: {splits}")
+        images[name] = Permutation.interval_reversal(n, *splits[0])
     return images
 
 

@@ -83,13 +83,3 @@ def random_move(w: CactusWord, rng: random.Random) -> CactusWord:
     move = rng.choice(applicable_moves(w))
     letter = random_letter(w.n, rng) if move[0] == "insert" else None
     return apply_move(w, move, letter)
-
-
-def random_exchanges(w: CactusWord, count: int, rng: random.Random) -> CactusWord:
-    """Shuffle a word by exchange moves only (no insertions or deletions)."""
-    for _ in range(count):
-        spots = [m for m in applicable_moves(w) if m[0] == "exchange"]
-        if not spots:
-            return w
-        w = apply_move(w, rng.choice(spots))
-    return w

@@ -372,12 +372,16 @@ def check_subgroup_completeness(rng: random.Random, sizes: Sizes) -> list[str]:
                 )
             else:
                 trivial = sampling.apply_move(trivial, rng.choice(moves))
-        reduced, touched = cactus.reduce_with_trace(trivial)
-        if reduced.letters:
+        if cactus.reduce(trivial).letters:
             failures.append(f"trivial twin word did not reduce: {trivial}")
             break
-        if any(letter.leaf != 2 for letter in touched):
-            failures.append(f"reduction left the 2-leaf alphabet on {trivial}")
+        shifted = base * trivial
+        reduced, canonical = cactus.reduce(shifted), cactus.canonical(shifted)
+        if any(letter.leaf != 2 for letter in reduced.letters + canonical.letters):
+            failures.append(f"reduction left the 2-leaf alphabet on {shifted}")
+            break
+        if canonical != cactus.canonical(base):
+            failures.append(f"canonical form of {shifted} differs from that of {base}")
             break
     if subgroups.is_member(word(4, [(1, 3)]), c22):
         failures.append("s(1,3) accepted as a twin-group member")

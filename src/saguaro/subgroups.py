@@ -141,19 +141,14 @@ def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
     if not 2 <= i <= w.n:
         raise ValueError(f"need 2 <= i <= n, got i={i} n={w.n}")
     labels = list(range(1, w.n + 1))
-    letters = []
-    for letter in w.letters:
-        if letter.leaf < i:
-            continue
-        block = labels[letter.p - 1 : letter.q]
-        if letter.leaf == i:
-            letters.append(GaussLetter(tuple(sorted(block))))
-        labels[letter.p - 1 : letter.q] = block[::-1]
-    images = [0] * w.n
-    for pos, strand in enumerate(labels, start=1):
-        images[strand - 1] = pos
+    big = (letter for letter in w.letters if letter.leaf >= i)
+    letters = [
+        GaussLetter(tuple(sorted(block)))
+        for letter, block in cactus.walk(big, labels)
+        if letter.leaf == i
+    ]
     reduced = racg.canonical_letters(letters, racg.commutes_disjoint)
-    return GaussWord(w.n, reduced), Permutation(tuple(images))
+    return GaussWord(w.n, reduced), Permutation(tuple(labels)).inverse()
 
 
 def _relation_instances(n: int):

@@ -4,14 +4,23 @@ These deliberately avoid the code paths they check: classes of words are
 enumerated by breadth-first search over single relation moves, and subgroup
 closures by plain multiplication, so canonical forms and reductions can be
 validated against exhaustive ground truth at small sizes.
+
+The second half keeps the earlier implementations that the Gauss engine
+replaced, as references for differential tests: the exchange-move reduction
+and canonical form of cactus words (at least cubic in the word length), the
+greedy canonical form of Gauss words, equality by comparing canonical forms,
+and the width-i eraser with its own diagram loop.  Commutation is tested on
+label sets, not on the bit masks the package uses.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 
-from saguaro.cactus import CactusWord, exchange_left
-from saguaro.racg import GaussWord
+from saguaro.cactus import CactusLetter, CactusWord, ReadResult, exchange_left, word  # noqa: F401
+from saguaro.perm import Permutation
+from saguaro.racg import CommutationPredicate, GaussLetter, GaussWord, L, reduce_letters
 
 
 def exchange_class(w: CactusWord) -> set[tuple]:
@@ -61,3 +70,185 @@ def closure_order(generators) -> int:
                 seen.add(x)
                 queue.append(x)
     return len(seen)
+
+
+def commutes(a: GaussLetter, b: GaussLetter) -> bool:
+    sa, sb = set(a.labels), set(b.labels)
+    return sa.isdisjoint(sb) or sa <= sb or sb <= sa
+
+
+def commutes_disjoint(a: GaussLetter, b: GaussLetter) -> bool:
+    return set(a.labels).isdisjoint(b.labels)
+
+
+def read_diagram(w: CactusWord) -> ReadResult:
+    """Simulate the diagram: at each letter record the labels sitting at
+    positions p..q, then reverse that block.
+
+    >>> r = read_diagram(word(4, [(1, 2), (2, 4), (1, 3)]))
+    >>> str(r.gauss), str(r.perm)
+    ('t{1,2} t{1,3,4} t{2,3,4}', '(4,3,1,2)')
+    """
+    labels = list(range(1, w.n + 1))  # labels[pos - 1] = strand currently at pos
+    out = []
+    for letter in w.letters:
+        block = labels[letter.p - 1 : letter.q]
+        out.append(GaussLetter(tuple(sorted(block))))
+        labels[letter.p - 1 : letter.q] = block[::-1]
+    images = [0] * w.n
+    for pos, strand in enumerate(labels, start=1):
+        images[strand - 1] = pos
+    return ReadResult(GaussWord(w.n, tuple(out)), Permutation(tuple(images)))
+
+
+def _find_cancellation(letters: list[CactusLetter]) -> tuple[int, int] | None:
+    # Walk each letter leftwards through exchange moves, transforming it as it
+    # passes enclosing letters; it annihilates with the first equal letter met
+    # and is blocked for good by an overlapping one.
+    for j in range(1, len(letters)):
+        moving = letters[j]
+        for i in range(j - 1, -1, -1):
+            if letters[i] == moving:
+                return (i, j)
+            ex = exchange_left(letters[i], moving)
+            if ex is None:
+                break
+            moving = ex[0]
+    return None
+
+
+def _apply_cancellation(letters: list[CactusLetter], i: int, j: int) -> list[CactusLetter]:
+    work = list(letters)
+    for k in range(j, i + 1, -1):
+        moved, stayed = exchange_left(work[k - 1], work[k])
+        work[k - 1], work[k] = moved, stayed
+    assert work[i] == work[i + 1]
+    del work[i : i + 2]
+    return work
+
+
+def reduce(w: CactusWord) -> CactusWord:
+    """An irreducible word for the same cactus; empty iff the cactus is trivial.
+
+    Repeatedly exchange-moves a letter onto an equal earlier letter and kills
+    the pair (the diagrammatic bigon killing).  The length of the result is
+    the geodesic length of the element.
+
+    >>> str(reduce(word(4, [(1, 4), (1, 2), (1, 4), (3, 4)])))
+    ''
+    """
+    letters = list(w.letters)
+    while True:
+        hit = _find_cancellation(letters)
+        if hit is None:
+            return CactusWord(w.n, tuple(letters))
+        letters = _apply_cancellation(letters, *hit)
+
+
+def reduce_with_trace(w: CactusWord) -> tuple[CactusWord, frozenset[CactusLetter]]:
+    """reduce(), also reporting every letter that appeared along the way
+    (including intermediates created by conjugating exchanges)."""
+    letters = list(w.letters)
+    seen = set(letters)
+    while True:
+        hit = _find_cancellation(letters)
+        if hit is None:
+            return CactusWord(w.n, tuple(letters)), frozenset(seen)
+        letters = _apply_cancellation(letters, *hit)
+        seen.update(letters)
+
+
+def canonical(w: CactusWord) -> CactusWord:
+    """Canonical representative: greedily emit the least letter (in (p, q)
+    order) that exchange moves can bring to the front.
+
+    Front-reachable letters of an irreducible word are pairwise distinct once
+    moved to the front, so the greedy choice is well defined and two words
+    represent the same cactus iff their canonical forms coincide letterwise.
+
+    >>> str(canonical(word(4, [(3, 4), (1, 2)])))
+    's(1,2) s(3,4)'
+    >>> str(canonical(word(4, [(1, 4), (1, 2)])))
+    's(1,4) s(1,2)'
+    """
+    rest = list(reduce(w).letters)
+    out = []
+    while rest:
+        best_j, best_letter = 0, rest[0]
+        for j in range(1, len(rest)):
+            moving = rest[j]
+            for i in range(j - 1, -1, -1):
+                ex = exchange_left(rest[i], moving)
+                if ex is None:
+                    moving = None
+                    break
+                moving = ex[0]
+            if moving is not None and moving < best_letter:
+                best_j, best_letter = j, moving
+        for k in range(best_j, 0, -1):
+            moved, stayed = exchange_left(rest[k - 1], rest[k])
+            rest[k - 1], rest[k] = moved, stayed
+        front = rest.pop(0)
+        assert front == best_letter
+        out.append(front)
+    return CactusWord(w.n, tuple(out))
+
+
+def equal(u: CactusWord, v: CactusWord) -> bool:
+    """Decide equality in J_n on the Gauss side, where the reading map is
+    injective and the word problem is a canonical-form comparison.
+
+    >>> equal(word(3, [(1, 2), (2, 3), (1, 2)]), word(3, [(2, 3), (1, 2), (2, 3)]))
+    False
+    >>> equal(word(4, [(1, 4), (1, 2), (1, 4)]), word(4, [(3, 4)]))
+    True
+    """
+    if u.n != v.n:
+        raise ValueError(f"size mismatch: {u.n} vs {v.n}")
+    cu = canonical_letters(read_diagram(u).gauss.letters, commutes)
+    cv = canonical_letters(read_diagram(v).gauss.letters, commutes)
+    return cu == cv
+
+
+def canonical_letters(letters: Sequence[L], commute: CommutationPredicate) -> tuple[L, ...]:
+    """The least word, letter by letter, in the commutation class of a reduction.
+
+    Greedily emits the smallest letter that commutes with everything before
+    it.  In a reduced word no two equal letters are simultaneously movable to
+    the front (they would cancel), so the choice is unambiguous and the result
+    depends only on the group element.
+    """
+    rest = list(reduce_letters(letters, commute))
+    out: list[L] = []
+    while rest:
+        best = 0
+        for j in range(1, len(rest)):
+            if rest[j] < rest[best] and all(commute(rest[i], rest[j]) for i in range(j)):
+                best = j
+        out.append(rest.pop(best))
+    return tuple(out)
+
+
+def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
+    """Project to width-i data: the Gauss word of the leaf-i crossings (in the
+    width-i diagram group, where letters commute only when disjoint) plus the
+    permutation contributed by all leaves >= i.
+
+    Letters of leaf < i vanish entirely, reversals included.
+    """
+    if not 2 <= i <= w.n:
+        raise ValueError(f"need 2 <= i <= n, got i={i} n={w.n}")
+    labels = list(range(1, w.n + 1))
+    letters = []
+    for letter in w.letters:
+        if letter.leaf < i:
+            continue
+        block = labels[letter.p - 1 : letter.q]
+        if letter.leaf == i:
+            letters.append(GaussLetter(tuple(sorted(block))))
+        labels[letter.p - 1 : letter.q] = block[::-1]
+    images = [0] * w.n
+    for pos, strand in enumerate(labels, start=1):
+        images[strand - 1] = pos
+    reduced = canonical_letters(letters, commutes_disjoint)
+    return GaussWord(w.n, reduced), Permutation(tuple(images))

@@ -1,6 +1,9 @@
 import json
+import pathlib
 
 from saguaro.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -78,6 +81,22 @@ def test_rs_builtin_json(capsys):
     assert len(payload["generators"]) == 5
     assert len(payload["relators"][0]) == 10
     assert payload["abelianization"] == {"rank": 4, "factors": [2]}
+
+
+def test_rs_builtin_j4_output_is_frozen(capsys):
+    for argv, name in ((["rs", "--builtin", "J4"], "rs_J4.txt"),
+                       (["rs", "--builtin", "J4", "--json"], "rs_J4.json")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_rs_rejects_ambiguous_generator_name(tmp_path, capsys):
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: s1213\nrels: s1213^2\n")
+    code, out, err = run(capsys, "rs", "--presentation", str(pres), "--strands", "213")
+    assert code == 2 and out == ""
+    assert "s1213" in err and "ambiguous" in err
 
 
 def test_rs_from_files(tmp_path, capsys):

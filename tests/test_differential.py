@@ -1,0 +1,115 @@
+"""Differential tests of the Gauss-engine procedures against the exchange-move
+and greedy implementations they replaced, kept in oracles.py."""
+
+import importlib
+import pkgutil
+import random
+
+import oracles
+import saguaro
+from saguaro import cactus, racg, sampling, subgroups
+from saguaro.cactus import CactusLetter, word
+
+
+def random_pairs(seed, count, sizes, max_length):
+    """Word pairs, half of them equal (the second a relation-move scramble of
+    the first) and half independent."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.choice(sizes)
+        u = sampling.random_word(n, max_length, rng)
+        if k % 2:
+            v = sampling.random_word(n, max_length, rng)
+        else:
+            v = u
+            for _ in range(rng.randint(0, 8)):
+                v = sampling.random_move(v, rng)
+        yield rng, u, v
+
+
+def long_word(rng, n, length):
+    starts = (rng.randint(1, n - 1) for _ in range(length))
+    return word(n, [(p, rng.randint(p + 1, n)) for p in starts])
+
+
+def test_reduce_canonical_equal_match_oracle():
+    for _, u, v in random_pairs(31, 600, range(2, 9), 40):
+        assert cactus.reduce(u) == oracles.reduce(u)
+        assert cactus.canonical(u) == oracles.canonical(u)
+        assert cactus.equal(u, v) == oracles.equal(u, v)
+
+
+def test_long_words_match_oracle():
+    rng = random.Random(32)
+    for n in (4, 6, 8):
+        u = long_word(rng, n, 200)
+        v = u
+        for _ in range(40):
+            v = sampling.random_move(v, rng)
+        assert cactus.reduce(u) == oracles.reduce(u)
+        assert cactus.canonical(u) == oracles.canonical(u)
+        assert cactus.equal(u, v) and oracles.equal(u, v)
+        assert cactus.equal(u, u * v) == oracles.equal(u, u * v)
+
+
+def test_canonical_letters_match_greedy_scan():
+    pairs = ((racg.commutes, oracles.commutes), (racg.commutes_disjoint, oracles.commutes_disjoint))
+    for rng, u, _ in random_pairs(33, 600, range(2, 9), 40):
+        gauss = cactus.read_diagram(u).gauss.letters
+        n = u.n
+        free = tuple(
+            racg.tau(*rng.sample(range(1, n + 1), rng.randint(2, n)))
+            for _ in range(rng.randint(0, 30))
+        )
+        for letters in (gauss, free):
+            for mine, theirs in pairs:
+                assert racg.canonical_letters(letters, mine) == oracles.canonical_letters(
+                    letters, theirs
+                )
+
+
+def test_eraser_width_matches_oracle():
+    for rng, u, _ in random_pairs(34, 600, range(2, 9), 40):
+        i = rng.randint(2, u.n)
+        assert subgroups.eraser_width(i, u) == oracles.eraser_width(i, u)
+
+
+def test_reduction_of_twin_words_stays_in_the_twin_alphabet():
+    # Every letter an exchange-move reduction passes through is 2-leaf.
+    rng = random.Random(35)
+    adjacent = [(1, 2), (2, 3), (3, 4)]
+    for _ in range(200):
+        base = word(4, [rng.choice(adjacent) for _ in range(rng.randint(1, 6))])
+        trivial = base * base.inverse()
+        for _ in range(rng.randint(0, 12)):
+            moves = [m for m in sampling.applicable_moves(trivial) if m[0] != "insert"]
+            if rng.random() < 0.3 or not moves:
+                pos = rng.randint(0, len(trivial.letters))
+                trivial = sampling.apply_move(
+                    trivial, ("insert", pos), CactusLetter(*rng.choice(adjacent))
+                )
+            else:
+                trivial = sampling.apply_move(trivial, rng.choice(moves))
+        reduced, touched = oracles.reduce_with_trace(trivial)
+        assert reduced.letters == ()
+        assert all(letter.leaf == 2 for letter in touched)
+
+
+def container_sizes():
+    sizes = {}
+    for info in pkgutil.walk_packages(saguaro.__path__, "saguaro."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if not name.startswith("__") and isinstance(value, (dict, list, set, bytearray)):
+                sizes[f"{info.name}.{name}"] = len(value)
+    return sizes
+
+
+def test_no_module_level_container_grows():
+    before = container_sizes()
+    rng = random.Random(36)
+    for _ in range(100):
+        u, v = long_word(rng, 12, 60), long_word(rng, 12, 60)
+        cactus.equal(u, v)
+        cactus.canonical(u)
+    assert container_sizes() == before

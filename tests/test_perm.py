@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import closure_order
-from saguaro.perm import Permutation, compose, flop_subgroup_order
+from saguaro.perm import Permutation, flop_subgroup_order
 
 
 def reversal(n, p, q):
@@ -26,7 +26,7 @@ def test_interval_reversal_bounds():
 
 
 def test_compose_pins_diagram_order():
-    assert compose(reversal(4, 1, 2), reversal(4, 2, 4)).images == (4, 1, 3, 2)
+    assert (reversal(4, 1, 2) * reversal(4, 2, 4)).images == (4, 1, 3, 2)
 
 
 def test_compose_identity_and_inverse():
@@ -36,8 +36,8 @@ def test_compose_identity_and_inverse():
         images = list(range(1, n + 1))
         rng.shuffle(images)
         p = Permutation(tuple(images))
-        assert compose(Permutation.identity(n), p) == p
-        assert compose(p, p.inverse()) == Permutation.identity(n)
+        assert Permutation.identity(n) * p == p
+        assert p * p.inverse() == Permutation.identity(n)
 
 
 def test_compose_associative():

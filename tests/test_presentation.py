@@ -49,6 +49,22 @@ def test_tietze_budget_flag():
     assert result.presentation.generators == ("x", "y")
 
 
+def test_tietze_budget_spends_no_extra_step(monkeypatch):
+    calls = []
+    step = presentation.tietze_step
+
+    def counted(p):
+        calls.append(p)
+        return step(p)
+
+    monkeypatch.setattr(presentation, "tietze_step", counted)
+    p = Presentation(("x", "y", "z"), ((("x", 1), ("y", 1)), (("y", 1), ("z", -1))))
+    result = tietze_simplify(p, budget=1)
+    assert len(calls) == 1
+    assert result.steps == 1 and result.budget_exhausted
+    assert len(result.presentation.generators) == 2
+
+
 def test_tietze_preserves_abelianization_each_step():
     p = Presentation(
         ("a", "b", "c", "d"),

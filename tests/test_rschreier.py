@@ -198,3 +198,18 @@ def test_verify_pj4_all_pass():
     assert "relator is trivial" in names
     assert "beta spellings agree" in names
     assert sum(1 for n in names if n.endswith("is pure")) == 9
+
+
+def test_strand_images_split_names_uniquely():
+    images = strand_images(Presentation(("s12", "s29", "s110"), ()), 10)
+    assert images["s110"] == Permutation.interval_reversal(10, 1, 10)
+    assert images["s29"] == Permutation.interval_reversal(10, 2, 9)
+    for name, n in (("s1213", 213), ("s110", 9), ("s011", 11), ("s21", 4), ("t12", 4), ("s", 4)):
+        with pytest.raises(ValueError, match=name):
+            strand_images(Presentation((name,), ()), n)
+    for name in ("J3", "J4"):
+        p = builtin(name)
+        n = int(name[1])
+        assert strand_images(p, n) == {
+            g: Permutation.interval_reversal(n, int(g[1]), int(g[2])) for g in p.generators
+        }
