@@ -134,8 +134,12 @@ def read_diagram(w: CactusWord) -> ReadResult:
 
 
 def s_image(w: CactusWord) -> Permutation:
-    """The strand permutation of a word (the morphism the diagram induces)."""
-    return read_diagram(w).perm
+    """The strand permutation of a word (the morphism the diagram induces),
+    read from the final label state of the walk alone."""
+    labels = list(range(1, w.n + 1))
+    for _ in walk(w.letters, labels):
+        pass
+    return Permutation(tuple(labels)).inverse()
 
 
 def exchange_left(x: CactusLetter, y: CactusLetter) -> tuple[CactusLetter, CactusLetter] | None:

@@ -192,6 +192,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _run_rs(args: argparse.Namespace) -> int:
+    if args.budget < 0:
+        raise SystemExit2(f"need budget >= 0, got {args.budget}")
     pres = _presentation_from_args(args)
     if args.images:
         with open(args.images, encoding="utf-8") as handle:

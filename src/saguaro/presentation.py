@@ -7,6 +7,13 @@ pure cactus group).
 
 Relator words live in a free group: letters are (generator, +-1) pairs and no
 involutivity is assumed.
+
+Both simplifications are sized for Reidemeister-Schreier output, hundreds to
+thousands of short relators.  A Tietze step keeps an occurrence index, the
+relators containing each generator, so a candidate elimination is costed on
+the relators it rewrites and nowhere else.  The Smith normal form removes
+unit pivots on sparse rows first and leaves only a small remainder to the
+dense textbook algorithm.
 """
 
 from __future__ import annotations
@@ -71,17 +78,18 @@ def cyclic_reduce(w: SignedWord) -> SignedWord:
     return tuple(word)
 
 
-def _substitute(w: SignedWord, name: str, replacement: SignedWord) -> SignedWord:
-    inverse = invert_word(replacement)
+def _substitute(
+    w: SignedWord, name: str, replacement: SignedWord, inverse: SignedWord
+) -> list[tuple[str, int]]:
+    """w with name^1 spelled as replacement and name^-1 as its inverse,
+    unreduced: callers reduce once, cyclically."""
     out: list[tuple[str, int]] = []
     for letter in w:
-        if letter == (name, 1):
-            out.extend(replacement)
-        elif letter == (name, -1):
-            out.extend(inverse)
-        else:
+        if letter[0] != name:
             out.append(letter)
-    return free_reduce(tuple(out))
+        else:
+            out.extend(replacement if letter[1] == 1 else inverse)
+    return out
 
 
 def _relator_key(w: SignedWord) -> SignedWord:
@@ -94,18 +102,19 @@ def _relator_key(w: SignedWord) -> SignedWord:
     return min(candidates)
 
 
-def _cleanup(p: Presentation) -> Presentation:
-    relators = []
-    seen = set()
-    for rel in p.relators:
+def _classes(relators) -> dict[SignedWord, SignedWord]:
+    """The non-empty cyclic reductions of the relators, first of each class up
+    to rotation and inversion, keyed by _relator_key, in input order."""
+    classes: dict[SignedWord, SignedWord] = {}
+    for rel in relators:
         reduced = cyclic_reduce(rel)
-        if not reduced:
-            continue
-        key = _relator_key(reduced)
-        if key not in seen:
-            seen.add(key)
-            relators.append(reduced)
-    return Presentation(p.generators, tuple(relators))
+        if reduced:
+            classes.setdefault(_relator_key(reduced), reduced)
+    return classes
+
+
+def _cleanup(p: Presentation) -> Presentation:
+    return Presentation(p.generators, tuple(_classes(p.relators).values()))
 
 
 def _natural_key(name: str) -> tuple:
@@ -141,6 +150,14 @@ def _solvable(p: Presentation):
                 yield ri, name
 
 
+def _solution(rel: SignedWord, name: str) -> tuple[SignedWord, SignedWord]:
+    """The words that a generator occurring once in a relator and its
+    inverse equal by it, reduced."""
+    pos = next(i for i, (g, _) in enumerate(rel) if g == name)
+    word = free_reduce(rel[pos + 1 :] + rel[:pos])
+    return (invert_word(word), word) if rel[pos][1] == 1 else (word, invert_word(word))
+
+
 def tietze_step(p: Presentation) -> Presentation | None:
     """One generator elimination, or None when no relator offers one.
 
@@ -150,35 +167,53 @@ def tietze_step(p: Presentation) -> Presentation | None:
     prefer a shorter pivot relator, then eliminate the generator latest in
     name order (digit runs compared numerically, so earlier names survive),
     then the earliest relator.  The input is cleaned up (cyclic reduction,
-    duplicate relators dropped) before searching.
+    duplicate relators dropped) before searching, and so is the result.
+
+    The search reads an occurrence index, the relators containing each
+    generator.  Clean relators are cyclically reduced, so substituting into
+    one that lacks the generator leaves it unchanged: a candidate's total is
+    the current one less its pivot relator plus the length change of the
+    indexed relators, and only the winner's relators are rewritten.  The
+    result's cleanup computes class keys for those rewritten relators only.
     """
-    p = _cleanup(p)
+    classes = _classes(p.relators)
+    p = Presentation(p.generators, tuple(classes.values()))
+    occurs: dict[str, list[int]] = {}
+    for ri, rel in enumerate(p.relators):
+        for name in dict.fromkeys(name for name, _ in rel):
+            occurs.setdefault(name, []).append(ri)
+    size = sum(map(len, p.relators))
+    descending = {name: _Descending(_natural_key(name)) for name in occurs}
     best = None
     for ri, name in _solvable(p):
         rel = p.relators[ri]
-        pos = next(i for i, (g, _) in enumerate(rel) if g == name)
-        before, after = rel[:pos], rel[pos + 1 :]
-        if rel[pos][1] == 1:
-            replacement = free_reduce(invert_word(before) + invert_word(after))
-        else:
-            replacement = free_reduce(after + before)
-        total = 0
-        new_relators = []
-        for rj, other in enumerate(p.relators):
-            if rj == ri:
-                continue
-            substituted = cyclic_reduce(_substitute(other, name, replacement))
-            new_relators.append(substituted)
-            total += len(substituted)
-        candidate = ((total, len(rel), _Descending(_natural_key(name)), ri),
-                     name, new_relators)
-        if best is None or candidate[0] < best[0]:
-            best = candidate
+        replacement, inverse = _solution(rel, name)
+        total = size - len(rel)
+        for rj in occurs[name]:
+            if rj != ri:
+                other = p.relators[rj]
+                substituted = cyclic_reduce(_substitute(other, name, replacement, inverse))
+                total += len(substituted) - len(other)
+        key = (total, len(rel), descending[name], ri)
+        if best is None or key < best[0]:
+            best = (key, name, replacement, inverse)
     if best is None:
         return None
-    _, name, new_relators = best
+    (_, _, _, ri), name, replacement, inverse = best
+    touched = set(occurs[name])
+    keys = list(classes)
+    result: dict[SignedWord, SignedWord] = {}
+    for rj, rel in enumerate(p.relators):
+        if rj == ri:
+            continue
+        if rj in touched:
+            rel = cyclic_reduce(_substitute(rel, name, replacement, inverse))
+            if rel:
+                result.setdefault(_relator_key(rel), rel)
+        else:
+            result.setdefault(keys[rj], rel)
     generators = tuple(g for g in p.generators if g != name)
-    return _cleanup(Presentation(generators, tuple(new_relators)))
+    return Presentation(generators, tuple(result.values()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,15 +236,17 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPresentati
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
-    current = _cleanup(p)
-    steps = 0
+    current, steps = p, 0
     while steps < budget:
         next_p = tietze_step(current)
         if next_p is None:
-            return SimplifiedPresentation(current, steps, False)
-        current = next_p
-        steps += 1
-    exhausted = next(_solvable(current), None) is not None
+            break
+        current, steps = next_p, steps + 1
+    if steps == 0:
+        # tietze_step cleans its result, so only an input never stepped on
+        # needs cleaning here
+        current = _cleanup(p)
+    exhausted = steps == budget and next(_solvable(current), None) is not None
     return SimplifiedPresentation(current, steps, exhausted)
 
 
@@ -241,12 +278,63 @@ def exponent_matrix(p: Presentation) -> list[list[int]]:
 def smith_diagonal(matrix: list[list[int]]) -> list[int]:
     """Nonnegative diagonal of the Smith normal form, d1 | d2 | ... .
 
-    Row/column operations over the integers; matrices here are a handful of
-    relators wide, so the textbook pivoting algorithm is plenty.
+    Relator matrices are large and sparse, with mostly unit entries: the
+    rows become {column: value} dicts indexed by column, and while some
+    entry is +-1 it is taken as a pivot, its column is cleared from the
+    other rows, and its row and column are dropped with a 1 recorded.  The
+    pivot is taken in a shortest row, from the column with fewest entries,
+    to limit fill-in.  The textbook pivoting algorithm then runs on the
+    small remainder.  The Smith form is unique, so the pivot order does not
+    change the result.
 
     >>> smith_diagonal([[0, 2, 2, -2, 2]])
     [2]
+    >>> smith_diagonal([[1, 2, 0], [3, 4, 0], [0, 0, 1]])
+    [1, 1, 2]
     """
+    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(matrix)}
+    rows = {i: row for i, row in rows.items() if row}
+    where: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    units = 0
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for i in sorted(rows, key=lambda i: len(rows[i])):
+            row = rows.get(i, {})
+            unit_columns = [j for j, v in row.items() if v in (1, -1)]
+            if not unit_columns:
+                continue
+            j = min(unit_columns, key=lambda j: len(where[j]))
+            for k in row:
+                where[k].discard(i)
+            unit = row.pop(j)
+            del rows[i]
+            for r in where.pop(j):
+                target = rows[r]
+                factor = target.pop(j) * unit
+                for k, v in row.items():
+                    value = target.get(k, 0) - factor * v
+                    if value:
+                        target[k] = value
+                        where[k].add(r)
+                    else:
+                        del target[k]
+                        where[k].discard(r)
+                if not target:
+                    del rows[r]
+            units += 1
+            pivoted = True
+    columns = sorted(j for j, holders in where.items() if holders)
+    return [1] * units + _textbook_diagonal(
+        [[row.get(j, 0) for j in columns] for row in rows.values()]
+    )
+
+
+def _textbook_diagonal(matrix: list[list[int]]) -> list[int]:
+    """smith_diagonal by row and column operations on a dense matrix."""
     a = [row[:] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if a else 0

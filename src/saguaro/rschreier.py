@@ -7,7 +7,9 @@ prefix-closed (Schreier) transversal.  For a transversal word k and generator
 x, the element a_{k,x} = (k x)(kx-bar)^-1 lies in the kernel; the non-trivial
 ones generate it.  Rewriting the conjugated relators k r k^-1 through the
 coset walk expresses a complete set of relations in these generators, which
-Tietze simplification then shrinks.
+Tietze simplification then shrinks.  Each transversal computes its table of
+reduced a_{k,x} once, when it is built; the rewriting function, the generator
+list and the expansion back into ambient words all read that table.
 
 Generators carrying an x^2 relator are treated as involutions: ambient words
 spell x^-1 as x and cancel adjacent equal copies, so a_{k,x} counts as
@@ -88,15 +90,19 @@ class Transversal:
         for k, row in enumerate(self.action):
             for g, t in row.items():
                 self.inverse_action[t][g] = k
+        # words[k][g] is a_{k,g} reduced; every reader of the RS generators
+        # looks them up here rather than rewriting the ambient word again
+        self.words: list[dict[str, SignedWord]] = [
+            {g: self.ambient_reduce(self.reps[k] + ((g, 1),) + invert_word(self.reps[t]))
+             for g, t in row.items()}
+            for k, row in enumerate(self.action)
+        ]
+        self.word_of_name: dict[str, SignedWord] = {
+            self.name(k, g): w for k, row in enumerate(self.words) for g, w in row.items()
+        }
 
     def __len__(self) -> int:
         return len(self.reps)
-
-    def coset_of(self, w: SignedWord) -> int:
-        k = 0
-        for name, sign in w:
-            k = self.action[k][name] if sign == 1 else self.inverse_action[k][name]
-        return k
 
     def ambient_reduce(self, w: SignedWord) -> SignedWord:
         """Reduced form in the ambient free product: involutive generators are
@@ -117,11 +123,10 @@ class Transversal:
 
     def rs_word(self, k: int, g: str) -> SignedWord:
         """The kernel element a_{k,g} = (k g)(kg-bar)^-1, reduced."""
-        t = self.action[k][g]
-        return self.ambient_reduce(self.reps[k] + ((g, 1),) + invert_word(self.reps[t]))
+        return self.words[k][g]
 
     def is_trivial(self, k: int, g: str) -> bool:
-        return not self.rs_word(k, g)
+        return not self.words[k][g]
 
     def name(self, k: int, g: str) -> str:
         return f"a_k{k + 1}_{g}"
@@ -166,17 +171,9 @@ def rs_generators(t: Transversal) -> list[RSGenerator]:
     return out
 
 
-def rewrite(t: Transversal, w: SignedWord) -> SignedWord:
-    """The rewriting function: spell a kernel word in the a_{k,x}.
-
-    Each letter x^e contributes a_{k,x}^e, where k is the coset of the prefix
-    before the letter for e = +1 and of the prefix through it for e = -1;
-    trivial generators are dropped.  Only meaningful on kernel words, so
-    anything else is rejected up front.
-    """
-    if t.coset_of(w) != 0:
-        raise ValueError("word is not in the kernel")
-    current = 0
+def _rewrite_from(t: Transversal, k: int, w: SignedWord) -> tuple[SignedWord, int]:
+    """Rewrite w walking from coset k: the a_{k,x}-word and the end coset."""
+    current = k
     out = []
     for name, sign in w:
         if sign == 1:
@@ -185,17 +182,39 @@ def rewrite(t: Transversal, w: SignedWord) -> SignedWord:
         else:
             current = t.inverse_action[current][name]
             k = current
-        if not t.is_trivial(k, name):
+        if t.words[k][name]:
             out.append((t.name(k, name), sign))
-    return tuple(out)
+    return tuple(out), current
+
+
+def rewrite(t: Transversal, w: SignedWord) -> SignedWord:
+    """The rewriting function: spell a kernel word in the a_{k,x}.
+
+    Each letter x^e contributes a_{k,x}^e, where k is the coset of the prefix
+    before the letter for e = +1 and of the prefix through it for e = -1;
+    trivial generators are dropped.  Only meaningful on kernel words, so
+    anything else is rejected.
+    """
+    out, end = _rewrite_from(t, 0, w)
+    if end != 0:
+        raise ValueError("word is not in the kernel")
+    return out
 
 
 def rs_relators(p: Presentation, t: Transversal) -> list[SignedWord]:
-    """Rewritten conjugated relators tau(k r k^-1), freely reduced, non-empty."""
+    """Rewritten conjugated relators tau(k r k^-1), freely reduced, non-empty.
+
+    The transversal is prefix-closed, so every letter of k and of k^-1 crosses
+    a transversal edge and rewrites to a trivial generator: tau(k r k^-1) is
+    r rewritten from coset k, and it is a kernel word iff r returns to k.
+    """
     out = []
-    for rep in t.reps:
+    for k in range(len(t)):
         for rel in p.relators:
-            rewritten = free_reduce(rewrite(t, rep + rel + invert_word(rep)))
+            rewritten, end = _rewrite_from(t, k, rel)
+            if end != k:
+                raise ValueError("word is not in the kernel")
+            rewritten = free_reduce(rewritten)
             if rewritten:
                 out.append(rewritten)
     return out
@@ -203,10 +222,10 @@ def rs_relators(p: Presentation, t: Transversal) -> list[SignedWord]:
 
 def expand_rs_word(t: Transversal, w: SignedWord) -> SignedWord:
     """Spell a word in the a_{k,x} back in the ambient generators, reduced."""
-    tables = {t.name(k, g): t.rs_word(k, g) for k in range(len(t)) for g in t.generators}
     out: list[tuple[str, int]] = []
     for name, sign in w:
-        out.extend(tables[name] if sign == 1 else invert_word(tables[name]))
+        word = t.word_of_name[name]
+        out.extend(word if sign == 1 else invert_word(word))
     return t.ambient_reduce(tuple(out))
 
 

@@ -210,8 +210,7 @@ _EXPECTED_TRANSVERSAL = [
 def _rs_word_to_cactus(t: rschreier.Transversal, signed) -> CactusWord:
     letters = []
     for name, sign in signed:
-        _, coset, gen = name.split("_")
-        expanded = t.rs_word(int(coset[1:]) - 1, gen)
+        expanded = t.word_of_name[name]
         if sign == -1:
             expanded = tuple(reversed(expanded))
         letters.extend((1, int(ambient[2])) for ambient, _ in expanded)

@@ -10,16 +10,32 @@ replaced, as references for differential tests: the exchange-move reduction
 and canonical form of cactus words (at least cubic in the word length), the
 greedy canonical form of Gauss words, equality by comparing canonical forms,
 and the width-i eraser with its own diagram loop.  Commutation is tested on
-label sets, not on the bit masks the package uses.
+label sets, not on the bit masks the package uses.  Also kept: the Tietze
+step that substitutes into every relator for every candidate, with the
+simplification loop and cleanup around it, and the dense textbook Smith
+normal form.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Sequence
 
 from saguaro.cactus import CactusLetter, CactusWord, ReadResult, exchange_left, word  # noqa: F401
 from saguaro.perm import Permutation
+from saguaro.presentation import (
+    Presentation,
+    SignedWord,
+    SimplifiedPresentation,
+    _Descending,
+    _natural_key,
+    _relator_key,
+    _solvable,
+    cyclic_reduce,
+    free_reduce,
+    invert_word,
+)
 from saguaro.racg import CommutationPredicate, GaussLetter, GaussWord, L, reduce_letters
 
 
@@ -252,3 +268,149 @@ def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
         images[strand - 1] = pos
     reduced = canonical_letters(letters, commutes_disjoint)
     return GaussWord(w.n, reduced), Permutation(tuple(images))
+
+
+def _substitute(w: SignedWord, name: str, replacement: SignedWord) -> SignedWord:
+    inverse = invert_word(replacement)
+    out: list[tuple[str, int]] = []
+    for letter in w:
+        if letter == (name, 1):
+            out.extend(replacement)
+        elif letter == (name, -1):
+            out.extend(inverse)
+        else:
+            out.append(letter)
+    return free_reduce(tuple(out))
+
+
+def _cleanup(p: Presentation) -> Presentation:
+    relators = []
+    seen = set()
+    for rel in p.relators:
+        reduced = cyclic_reduce(rel)
+        if not reduced:
+            continue
+        key = _relator_key(reduced)
+        if key not in seen:
+            seen.add(key)
+            relators.append(reduced)
+    return Presentation(p.generators, tuple(relators))
+
+
+def tietze_step(p: Presentation) -> Presentation | None:
+    """One generator elimination, or None when no relator offers one.
+
+    Any generator occurring exactly once in some relator can be solved for
+    and substituted away.  Among the eligible (generator, relator) pairs the
+    one minimizing the total presentation length afterwards is applied; ties
+    prefer a shorter pivot relator, then eliminate the generator latest in
+    name order (digit runs compared numerically, so earlier names survive),
+    then the earliest relator.  The input is cleaned up (cyclic reduction,
+    duplicate relators dropped) before searching.
+    """
+    p = _cleanup(p)
+    best = None
+    for ri, name in _solvable(p):
+        rel = p.relators[ri]
+        pos = next(i for i, (g, _) in enumerate(rel) if g == name)
+        before, after = rel[:pos], rel[pos + 1 :]
+        if rel[pos][1] == 1:
+            replacement = free_reduce(invert_word(before) + invert_word(after))
+        else:
+            replacement = free_reduce(after + before)
+        total = 0
+        new_relators = []
+        for rj, other in enumerate(p.relators):
+            if rj == ri:
+                continue
+            substituted = cyclic_reduce(_substitute(other, name, replacement))
+            new_relators.append(substituted)
+            total += len(substituted)
+        candidate = ((total, len(rel), _Descending(_natural_key(name)), ri),
+                     name, new_relators)
+        if best is None or candidate[0] < best[0]:
+            best = candidate
+    if best is None:
+        return None
+    _, name, new_relators = best
+    generators = tuple(g for g in p.generators if g != name)
+    return _cleanup(Presentation(generators, tuple(new_relators)))
+
+
+def tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPresentation:
+    """Eliminate generators until a fixpoint or the step budget runs out.
+
+    Only removals are performed (no generator additions), so the process
+    terminates; the resulting presentation defines the same group.
+
+    >>> p = Presentation(('x', 'y'), ((('y', 1), ('x', -1)),))
+    >>> r = tietze_simplify(p)
+    >>> r.presentation.generators, r.presentation.relators
+    (('x',), ())
+    """
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
+    current = _cleanup(p)
+    steps = 0
+    while steps < budget:
+        next_p = tietze_step(current)
+        if next_p is None:
+            return SimplifiedPresentation(current, steps, False)
+        current = next_p
+        steps += 1
+    exhausted = next(_solvable(current), None) is not None
+    return SimplifiedPresentation(current, steps, exhausted)
+
+
+def smith_diagonal(matrix: list[list[int]]) -> list[int]:
+    """Nonnegative diagonal of the Smith normal form, d1 | d2 | ... .
+
+    Row/column operations over the integers; matrices here are a handful of
+    relators wide, so the textbook pivoting algorithm is plenty.
+
+    >>> smith_diagonal([[0, 2, 2, -2, 2]])
+    [2]
+    """
+    a = [row[:] for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    diag: list[int] = []
+    t = 0
+    while t < min(rows, cols):
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        dirty = False
+        for i in range(t + 1, rows):
+            if a[i][t] % a[t][t] != 0:
+                dirty = True
+            quotient = a[i][t] // a[t][t]
+            for j in range(t, cols):
+                a[i][j] -= quotient * a[t][j]
+        for j in range(t + 1, cols):
+            if a[t][j] % a[t][t] != 0:
+                dirty = True
+            quotient = a[t][j] // a[t][t]
+            for i in range(t, rows):
+                a[i][j] -= quotient * a[i][t]
+        if dirty or any(a[i][t] for i in range(t + 1, rows)) or any(
+            a[t][j] for j in range(t + 1, cols)
+        ):
+            continue
+        diag.append(abs(a[t][t]))
+        t += 1
+    # Enforce the divisibility chain: diag(a, b) ~ diag(gcd, lcm) over Z.
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            if diag[i] and diag[j] % diag[i] != 0:
+                g = math.gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag

@@ -1,6 +1,7 @@
 import json
 import pathlib
 
+from saguaro import cli
 from saguaro.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -89,6 +90,16 @@ def test_rs_builtin_j4_output_is_frozen(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_rs_rejects_negative_budget_before_any_work(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("build_transversal called")
+
+    monkeypatch.setattr(cli, "build_transversal", fail)
+    code, out, err = run(capsys, "rs", "--builtin", "J4", "--budget", "-1")
+    assert code == 2 and out == ""
+    assert "need budget >= 0, got -1" in err
 
 
 def test_rs_rejects_ambiguous_generator_name(tmp_path, capsys):

@@ -95,6 +95,18 @@ def test_reduction_of_twin_words_stays_in_the_twin_alphabet():
         assert all(letter.leaf == 2 for letter in touched)
 
 
+def test_strand_permutation_matches_diagram_reading():
+    rng = random.Random(37)
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        w = long_word(rng, n, rng.randint(0, 40) if n > 1 else 0)
+        perm = oracles.read_diagram(w).perm
+        assert cactus.s_image(w) == perm
+        assert cactus.is_pure(w) == perm.is_identity()
+        pure = w * sampling.purifying_tail(perm)
+        assert cactus.is_pure(pure) and oracles.read_diagram(pure).perm.is_identity()
+
+
 def container_sizes():
     sizes = {}
     for info in pkgutil.walk_packages(saguaro.__path__, "saguaro."):

@@ -1,0 +1,155 @@
+"""The Reidemeister-Schreier pipeline on the full presentations of J4 and J5
+(every interval generator s<p><q>): Tietze and Smith normal form checked
+against the earlier implementations kept in oracles.py, and the pure cactus
+groups PJ4 and PJ5 checked against published invariants."""
+
+import itertools
+import random
+
+import pytest
+
+import oracles
+from saguaro.presentation import (
+    Presentation,
+    SimplifiedPresentation,
+    abelianization,
+    builtin,
+    exponent_matrix,
+    free_reduce,
+    invert_word,
+    positive_word,
+    smith_diagonal,
+    tietze_simplify,
+    tietze_step,
+)
+from saguaro.rschreier import (
+    build_transversal,
+    rewrite,
+    rs_generators,
+    rs_relators,
+    strand_images,
+)
+
+
+def full_presentation(n: int, seed: int) -> Presentation:
+    """J_n on all s<p><q>: involutions, one commutator per disjoint pair, and
+    s_x s_y s_x = s_y' for each y nested in x, y' its mirror image in x; the
+    seed shuffles the relator order."""
+    intervals = [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
+    name = {pq: f"s{pq[0]}{pq[1]}" for pq in intervals}
+    relators = [positive_word(name[x], name[x]) for x in intervals]
+    for x, y in itertools.permutations(intervals, 2):
+        if x[1] < y[0]:
+            commuted = positive_word(name[y], name[x])
+            relators.append(positive_word(name[x], name[y]) + invert_word(commuted))
+        elif x[0] <= y[0] and y[1] <= x[1]:
+            mirror = (x[0] + x[1] - y[1], x[0] + x[1] - y[0])
+            relators.append(positive_word(name[x], name[y], name[x]) + ((name[mirror], -1),))
+    random.Random(seed).shuffle(relators)
+    return Presentation(tuple(name[x] for x in intervals), tuple(relators))
+
+
+def raw_rs(p: Presentation, n: int) -> Presentation:
+    t = build_transversal(p, strand_images(p, n))
+    generators = tuple(g.name for g in rs_generators(t))
+    return Presentation(generators, tuple(rs_relators(p, t)))
+
+
+@pytest.fixture(scope="module")
+def raw_j4():
+    return raw_rs(full_presentation(4, 1), 4)
+
+
+def test_rs_relators_are_the_rewritten_conjugates():
+    for p, n in ((builtin("J4"), 4), (full_presentation(4, 2), 4)):
+        t = build_transversal(p, strand_images(p, n))
+        conjugates = (rep + rel + invert_word(rep) for rep in t.reps for rel in p.relators)
+        expected = [w for w in map(free_reduce, (rewrite(t, c) for c in conjugates)) if w]
+        assert rs_relators(p, t) == expected
+
+
+@pytest.mark.parametrize("name,n", [("J3", 3), ("J4", 4)])
+def test_tietze_matches_oracle_on_builtin(name, n):
+    raw = raw_rs(builtin(name), n)
+    for budget in (0, 1, 2, 5, 1000):
+        assert tietze_simplify(raw, budget) == oracles.tietze_simplify(raw, budget)
+
+
+def test_tietze_matches_oracle_on_full_j4(raw_j4):
+    assert (len(raw_j4.generators), len(raw_j4.relators)) == (98, 338)
+    states = [oracles._cleanup(raw_j4)]
+    for _ in range(10):
+        states.append(oracles.tietze_step(states[-1]))
+        assert tietze_step(states[-2]) == states[-1]
+    # the fixpoint is 93 steps away, so every one of these budgets runs out
+    for budget in (0, 1, 2, 5, 10):
+        expected = SimplifiedPresentation(states[budget], budget, True)
+        assert tietze_simplify(raw_j4, budget) == expected
+
+
+def test_full_j4_simplifies_to_one_relator(raw_j4):
+    result = tietze_simplify(raw_j4)
+    simplified = result.presentation
+    assert (result.steps, result.budget_exhausted) == (93, False)
+    assert len(simplified.generators) == 5
+    assert [len(rel) for rel in simplified.relators] == [10]
+    assert abelianization(simplified) == abelianization(raw_j4) == (4, (2,))
+
+
+def gf2_rank(matrix: list[list[int]]) -> int:
+    """Rank mod 2 by plain elimination, rows as bit masks."""
+    pivots: dict[int, int] = {}  # leading bit -> row
+    for row in matrix:
+        bits = sum(1 << j for j, v in enumerate(row) if v % 2)
+        while bits:
+            top = bits.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = bits
+                break
+            bits ^= pivots[top]
+    return len(pivots)
+
+
+def test_pj5_abelianization():
+    raw = raw_rs(full_presentation(5, 1), 5)
+    assert (len(raw.generators), len(raw.relators)) == (962, 4562)
+    rank, factors = abelianization(raw)
+    # b1(PJ5) = 10 and all torsion is 2-torsion (Etingof-Henriques-Kamnitzer-Rains)
+    assert (rank, factors) == (10, (2, 2, 2, 2, 2, 2))
+    # independently: dim H1(PJ5; F2) = rank + number of 2-primary factors
+    h1_f2 = len(raw.generators) - gf2_rank(exponent_matrix(raw))
+    assert h1_f2 == rank + sum(1 for d in factors if d % 2 == 0) == 16
+
+
+def random_matrix(rng: random.Random) -> list[list[int]]:
+    rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+    kind = rng.randrange(4)
+    if kind == 0:  # no unit entries
+        values = [0, 0, 2, -2, 3, -4, 6, 9]
+    elif kind == 1:  # mostly units, like relator matrices
+        values = [0, 0, 0, 1, -1, 1, 2]
+    else:
+        values = list(range(-5, 6))
+    matrix = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+    if matrix and kind == 3:  # rank deficient: a combination of earlier rows
+        a, b = rng.choice(matrix), rng.choice(matrix)
+        matrix.append([rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a, b)])
+    return matrix
+
+
+def test_smith_diagonal_matches_oracle():
+    rng = random.Random(41)
+    shapes = set()
+    for _ in range(400):
+        matrix = random_matrix(rng)
+        shapes.add((len(matrix), len(matrix[0]) if matrix else 0))
+        assert smith_diagonal(matrix) == oracles.smith_diagonal(matrix), matrix
+    assert (0, 0) in shapes and any(r == 1 for r, _ in shapes)
+    assert any(r and not c for r, c in shapes)
+    for matrix in ([], [[]], [[], []], [[0, 0], [0, 0]], [[0, 2, 0], [0, 0, 0], [0, 4, 6]]):
+        assert smith_diagonal(matrix) == oracles.smith_diagonal(matrix)
+
+
+def test_smith_diagonal_matches_oracle_on_rs_matrices(raw_j4):
+    matrix = exponent_matrix(raw_j4)
+    assert smith_diagonal(matrix) == oracles.smith_diagonal(matrix)
