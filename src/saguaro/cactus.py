@@ -251,11 +251,14 @@ def geodesic_length(w: CactusWord) -> int:
 def order(c: CactusWord, bound: int = 64) -> int | None:
     """Smallest k <= bound with c^k trivial, or None if there is none.
 
-    Honest bounded probing: powers are accumulated on the Gauss side, where
-    the k-th power is trivial iff its reduced reading is empty.  One sound
-    shortcut prunes hopeless searches: geodesic length drops by at most the
-    geodesic length of c per extra factor, so a long enough reduction cannot
-    reach the empty word within the bound.
+    Exact, from two powers only.  Let m be the order of the strand
+    permutation of c.  If c has finite order d, then m divides d, and c^m is
+    pure.  On the pure cactus group the Gauss reading is an injective
+    homomorphism into a right-angled Coxeter group, where every element of
+    finite order has order at most 2 (Davis, The Geometry and Topology of
+    Coxeter Groups, 2008), so d divides 2m.  Hence d is m or 2m: c^m and
+    then c^2m are accumulated on the Gauss side, where a power is trivial
+    iff its reduced reading is empty, and c has infinite order if neither is.
 
     >>> order(word(2, [(1, 2)]))
     2
@@ -264,17 +267,16 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
     """
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
+    m = s_image(c).order()
     labels = list(range(1, c.n + 1))
     reduced: list[int] = []
-    step = 0
-    for k in range(1, bound + 1):
-        _push_reading(c.letters, labels, reduced)
+    for k in (m, 2 * m):
+        if k > bound:
+            return None
+        for _ in range(m):
+            _push_reading(c.letters, labels, reduced)
         if not reduced:
             return k
-        if k == 1:
-            step = len(reduced)
-        elif len(reduced) > (bound - k) * step:
-            return None
     return None
 
 

@@ -19,8 +19,15 @@ from .rschreier import build_transversal, rs_generators, rs_relators, strand_ima
 from .subgroups import IntervalCollection
 
 
+# Largest -n a word subcommand accepts, checked before the word is read: each
+# one allocates state per strand.  The library itself takes any n.
+MAX_STRANDS = 10_000
+
+
 def _word_argument(parser: argparse.ArgumentParser, count: int = 1) -> None:
-    parser.add_argument("-n", type=int, required=True, help="number of strands")
+    parser.add_argument(
+        "-n", type=int, required=True, help=f"number of strands, at most {MAX_STRANDS}"
+    )
     names = ["word"] if count == 1 else ["word1", "word2"]
     for name in names:
         parser.add_argument(name, help="cactus word, e.g. 's(1,2) s(2,4)'")
@@ -69,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     eq = sub.add_parser("eq", help="decide equality of two words")
     _word_argument(eq, count=2)
 
-    order = sub.add_parser("order", help="order of an element, bounded search")
+    order = sub.add_parser(
+        "order", help="order of an element, exact; 'absent' if infinite or above --bound"
+    )
     _word_argument(order)
     order.add_argument("--bound", type=int, default=64)
 
@@ -124,6 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> int:
+    if getattr(args, "n", 0) > MAX_STRANDS:
+        raise SystemExit2(f"need n <= {MAX_STRANDS}, got {args.n}")
     if args.command == "canon":
         w = cactus.canonical(syntax.parse_cactus_word(args.word, args.n))
         if args.json:
@@ -248,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return run(args)
-    except (SystemExit2, syntax.WordSyntaxError, syntax.BoundsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SystemExit2, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -126,21 +126,6 @@ def _natural_key(name: str) -> tuple:
     return tuple(runs)
 
 
-class _Descending:
-    """Wrapper reversing the comparison order of its key."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple):
-        self.key = key
-
-    def __lt__(self, other: _Descending) -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Descending) and self.key == other.key
-
-
 def _solvable(p: Presentation):
     """(relator index, generator) pairs where the generator occurs exactly once
     in the relator, so the relator can be solved for it."""
@@ -183,7 +168,8 @@ def tietze_step(p: Presentation) -> Presentation | None:
         for name in dict.fromkeys(name for name, _ in rel):
             occurs.setdefault(name, []).append(ri)
     size = sum(map(len, p.relators))
-    descending = {name: _Descending(_natural_key(name)) for name in occurs}
+    natural = {name: _natural_key(name) for name in occurs}
+    rank = {key: i for i, key in enumerate(sorted(set(natural.values())))}
     best = None
     for ri, name in _solvable(p):
         rel = p.relators[ri]
@@ -194,7 +180,7 @@ def tietze_step(p: Presentation) -> Presentation | None:
                 other = p.relators[rj]
                 substituted = cyclic_reduce(_substitute(other, name, replacement, inverse))
                 total += len(substituted) - len(other)
-        key = (total, len(rel), descending[name], ri)
+        key = (total, len(rel), -rank[natural[name]], ri)
         if best is None or key < best[0]:
             best = (key, name, replacement, inverse)
     if best is None:

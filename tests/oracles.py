@@ -10,10 +10,11 @@ replaced, as references for differential tests: the exchange-move reduction
 and canonical form of cactus words (at least cubic in the word length), the
 greedy canonical form of Gauss words, equality by comparing canonical forms,
 and the width-i eraser with its own diagram loop.  Commutation is tested on
-label sets, not on the bit masks the package uses.  Also kept: the Tietze
-step that substitutes into every relator for every candidate, with the
-simplification loop and cleanup around it, and the dense textbook Smith
-normal form.
+label sets, not on the bit masks the package uses.  Also kept: the element
+order that probes every power up to the bound with a length-based pruning
+rule, the Tietze step that substitutes into every relator for every
+candidate, with the simplification loop, cleanup and descending-name
+tie-break wrapper around it, and the dense textbook Smith normal form.
 """
 
 from __future__ import annotations
@@ -22,13 +23,19 @@ import math
 from collections import deque
 from collections.abc import Sequence
 
-from saguaro.cactus import CactusLetter, CactusWord, ReadResult, exchange_left, word  # noqa: F401
+from saguaro.cactus import (  # noqa: F401
+    CactusLetter,
+    CactusWord,
+    ReadResult,
+    _push_reading,
+    exchange_left,
+    word,
+)
 from saguaro.perm import Permutation
 from saguaro.presentation import (
     Presentation,
     SignedWord,
     SimplifiedPresentation,
-    _Descending,
     _natural_key,
     _relator_key,
     _solvable,
@@ -268,6 +275,51 @@ def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
         images[strand - 1] = pos
     reduced = canonical_letters(letters, commutes_disjoint)
     return GaussWord(w.n, reduced), Permutation(tuple(images))
+
+
+def order(c: CactusWord, bound: int = 64) -> int | None:
+    """Smallest k <= bound with c^k trivial, or None if there is none.
+
+    Honest bounded probing: powers are accumulated on the Gauss side, where
+    the k-th power is trivial iff its reduced reading is empty.  One sound
+    shortcut prunes hopeless searches: geodesic length drops by at most the
+    geodesic length of c per extra factor, so a long enough reduction cannot
+    reach the empty word within the bound.
+
+    >>> order(word(2, [(1, 2)]))
+    2
+    >>> order(word(4, [(1, 2), (1, 4)]))
+    4
+    """
+    if bound < 1:
+        raise ValueError(f"need bound >= 1, got {bound}")
+    labels = list(range(1, c.n + 1))
+    reduced: list[int] = []
+    step = 0
+    for k in range(1, bound + 1):
+        _push_reading(c.letters, labels, reduced)
+        if not reduced:
+            return k
+        if k == 1:
+            step = len(reduced)
+        elif len(reduced) > (bound - k) * step:
+            return None
+    return None
+
+
+class _Descending:
+    """Wrapper reversing the comparison order of its key."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple):
+        self.key = key
+
+    def __lt__(self, other: _Descending) -> bool:
+        return other.key < self.key
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Descending) and self.key == other.key
 
 
 def _substitute(w: SignedWord, name: str, replacement: SignedWord) -> SignedWord:

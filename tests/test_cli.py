@@ -1,7 +1,7 @@
 import json
 import pathlib
 
-from saguaro import cli
+from saguaro import cactus, cli, syntax
 from saguaro.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -28,6 +28,44 @@ def test_order_output(capsys):
     assert code == 0 and out.strip() == "4"
     code, out, _ = run(capsys, "order", "-n", "3", "s(1,2) s(1,3)", "--bound", "32")
     assert code == 0 and out.strip() == "absent"
+
+
+def test_order_huge_bound_decides_from_two_powers(monkeypatch, capsys):
+    # s(1,2) s(1,3) has infinite order and strand permutation order m = 3
+    calls = []
+    push = cactus._push_reading
+
+    def counted(*args):
+        calls.append(None)
+        assert len(calls) <= 6, "more than 2m = 6 pushes"
+        return push(*args)
+
+    monkeypatch.setattr(cactus, "_push_reading", counted)
+    code, out, _ = run(capsys, "order", "-n", "3", "s(1,2) s(1,3)", "--bound", "1000000000000")
+    assert code == 0 and out.strip() == "absent"
+
+
+def test_word_commands_reject_huge_n_before_parsing(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("parse_cactus_word called")
+
+    monkeypatch.setattr(syntax, "parse_cactus_word", fail)
+    word = ["-n", "1000000000000", "s(1,2)"]
+    for argv in (
+        ["canon", *word],
+        ["eq", *word, "s(1,2)"],
+        ["order", *word],
+        ["image", *word],
+        ["pure", *word],
+        ["member", *word, "--slice", "2,2"],
+        ["erase", *word, "--min-leaf", "2"],
+        ["decompose", *word, "--min-leaf", "2"],
+        ["render", *word, "-o", str(tmp_path / "w.svg")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "need n <= 10000, got 1000000000000" in err
+    assert not (tmp_path / "w.svg").exists()
 
 
 def test_image_text_and_json(capsys):

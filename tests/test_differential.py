@@ -107,6 +107,24 @@ def test_strand_permutation_matches_diagram_reading():
         assert cactus.is_pure(pure) and oracles.read_diagram(pure).perm.is_identity()
 
 
+def test_order_matches_bounded_probe():
+    rng = random.Random(38)
+    words = [
+        sampling.random_word(n, 12, rng) if n > 1 else word(1, [])
+        for n in range(1, 11)
+        for _ in range(60)
+    ]
+    words += [sampling.random_pure_word(n, 8, rng) for n in (4, 5, 6) for _ in range(60)]
+    words += [cactus.torsion_witness(k) for k in range(1, 5)]
+    mismatches = [
+        (str(w), w.n, bound)
+        for w in words
+        for bound in (1, 2, 3, 4, 6, 8, 12, 64)
+        if cactus.order(w, bound) != oracles.order(w, bound)
+    ]
+    assert mismatches == []
+
+
 def container_sizes():
     sizes = {}
     for info in pkgutil.walk_packages(saguaro.__path__, "saguaro."):

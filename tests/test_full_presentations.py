@@ -75,6 +75,20 @@ def test_tietze_matches_oracle_on_builtin(name, n):
         assert tietze_simplify(raw, budget) == oracles.tietze_simplify(raw, budget)
 
 
+def test_tietze_tie_break_matches_oracle_on_equal_name_keys():
+    # g1 and g01 (and x2, x02) have equal natural keys, so they tie on name
+    names = ("g1", "g01", "g2", "g10", "x2", "x02")
+    rng = random.Random(39)
+    for _ in range(300):
+        relators = tuple(
+            tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 5))
+        )
+        p = Presentation(names, relators)
+        for budget in (1, 2, 1000):
+            assert tietze_simplify(p, budget) == oracles.tietze_simplify(p, budget)
+
+
 def test_tietze_matches_oracle_on_full_j4(raw_j4):
     assert (len(raw_j4.generators), len(raw_j4.relators)) == (98, 338)
     states = [oracles._cleanup(raw_j4)]
