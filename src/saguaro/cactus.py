@@ -251,14 +251,16 @@ def geodesic_length(w: CactusWord) -> int:
 def order(c: CactusWord, bound: int = 64) -> int | None:
     """Smallest k <= bound with c^k trivial, or None if there is none.
 
-    Exact, from two powers only.  Let m be the order of the strand
-    permutation of c.  If c has finite order d, then m divides d, and c^m is
-    pure.  On the pure cactus group the Gauss reading is an injective
-    homomorphism into a right-angled Coxeter group, where every element of
-    finite order has order at most 2 (Davis, The Geometry and Topology of
-    Coxeter Groups, 2008), so d divides 2m.  Hence d is m or 2m: c^m and
-    then c^2m are accumulated on the Gauss side, where a power is trivial
-    iff its reduced reading is empty, and c has infinite order if neither is.
+    Exact, from one power.  Let m be the order of the strand permutation of
+    c.  If c has finite order d, then m divides d, and c^m is pure.  The pure
+    cactus group is torsion-free, as the source paper shows; it is also the
+    fundamental group of the real moduli space of stable curves, which is
+    aspherical (Davis, Januszkiewicz and Scott, Fundamental groups of
+    blow-ups, Adv. Math. 2003).  So c^m, of finite order, is trivial and
+    d = m: c has finite order iff c^m is trivial, which the Gauss side
+    decides, a power being trivial iff its reduced reading is empty.  m can
+    be as large as Landau's function of n, so the bound still guards the
+    pushes.
 
     >>> order(word(2, [(1, 2)]))
     2
@@ -268,16 +270,13 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
     m = s_image(c).order()
+    if m > bound:
+        return None
     labels = list(range(1, c.n + 1))
     reduced: list[int] = []
-    for k in (m, 2 * m):
-        if k > bound:
-            return None
-        for _ in range(m):
-            _push_reading(c.letters, labels, reduced)
-        if not reduced:
-            return k
-    return None
+    for _ in range(m):
+        _push_reading(c.letters, labels, reduced)
+    return None if reduced else m
 
 
 def torsion_witness(k: int) -> CactusWord:

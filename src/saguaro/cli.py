@@ -49,7 +49,10 @@ def _decision(value: bool) -> int:
 
 def _load_collection(args) -> IntervalCollection:
     if args.slice:
-        i, j = (int(x) for x in args.slice.split(","))
+        try:
+            i, j = (int(x) for x in args.slice.split(","))
+        except ValueError:
+            raise SystemExit2(f"--slice needs two integers i,j, got {args.slice!r}") from None
         return IntervalCollection.slice(args.n, i, j)
     with open(args.collection, encoding="utf-8") as handle:
         pairs = json.load(handle)

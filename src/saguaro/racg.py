@@ -10,6 +10,10 @@ Reduction pushes letters one at a time onto a reduced word; equality is one
 reduction of u v^-1; the canonical form is the lexicographically least
 linearization of an irreducible representative, found by Kahn's algorithm
 over its non-commutation DAG (the lexicographic normal form of a trace).
+Kahn's algorithm sees a DAG only through which nodes are sources, and a node
+is a source once all its ancestors are emitted, so any DAG with the same
+transitive closure gives the same output; the engine builds the transitive
+reduction, which skips the predecessors already known to be ancestors.
 
 The concrete alphabet used throughout the package is the Gauss-diagram
 alphabet: a letter carries a set of strand labels, and two letters commute
@@ -21,7 +25,6 @@ disjointness-only predicate.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TypeVar
 
@@ -138,19 +141,6 @@ def reduce_letters(letters: Sequence[L], commute: CommutationPredicate) -> tuple
     return tuple(out)
 
 
-def cancellable_pairs(letters: Sequence[L], commute: CommutationPredicate) -> list[tuple[int, int]]:
-    """All pairs (i, j) of equal letters with everything strictly between commuting."""
-    pairs = []
-    for j, letter in enumerate(letters):
-        for i in range(j - 1, -1, -1):
-            if letters[i] == letter:
-                pairs.append((i, j))
-                break
-            if not commute(letters[i], letter):
-                break
-    return pairs
-
-
 def least_linearization(
     letters: Sequence[L], commute: CommutationPredicate, key: Callable[[L], object] | None = None
 ) -> Iterator[L]:
@@ -163,14 +153,37 @@ def least_linearization(
     the choice is unambiguous.  The key is evaluated lazily, after the
     consumer has handled the previous letter, so it may read state that the
     consumer updates as it goes.
+
+    Only the transitive reduction of the DAG is built.  below[j] is the bit
+    set of j and its ancestors.  The candidate predecessors of j are walked
+    from the highest index down, and an edge i -> j clears every ancestor of
+    i from the candidates untested, since each of them precedes j already.
+    An ancestor of j that is no predecessor lies below a predecessor of
+    higher index, which the walk meets first, so the letters left to test
+    are exactly the predecessors and the non-ancestors.  A node is a source
+    exactly when all its ancestors have been emitted, so the reduction,
+    having the same reachability, yields the same source set at every step.
+    It yields them in the same order too: the last ancestor of j to be
+    emitted is a maximal one, an edge of both graphs, and each emitted node
+    releases its successors in increasing index.  So the output is that of
+    the full DAG for any predicate and key.
     """
     successors: list[list[int]] = [[] for _ in letters]
     blockers = [0] * len(letters)
+    below: list[int] = []
     for j, b in enumerate(letters):
-        for i in range(j):
-            if not commute(letters[i], b):
+        ancestors = 1 << j
+        candidates = ancestors - 1
+        while candidates:
+            i = candidates.bit_length() - 1
+            if commute(letters[i], b):
+                candidates ^= 1 << i
+            else:
                 successors[i].append(j)
                 blockers[j] += 1
+                candidates &= ~below[i]
+                ancestors |= below[i]
+        below.append(ancestors)
     sources = [j for j, count in enumerate(blockers) if not count]
     by_key = letters.__getitem__ if key is None else lambda j: key(letters[j])
     while sources:
@@ -190,11 +203,6 @@ def canonical_letters(letters: Sequence[L], commute: CommutationPredicate) -> tu
     element form one commutation class.
     """
     return tuple(least_linearization(reduce_letters(letters, commute), commute))
-
-
-def letter_multiset(letters: Sequence[L], commute: CommutationPredicate) -> Counter:
-    """Multiset of letters of a reduction; independent of the reduction order."""
-    return Counter(reduce_letters(letters, commute))
 
 
 def racg_reduce(w: GaussWord) -> GaussWord:

@@ -27,7 +27,6 @@ defining words inside the 4-strand cactus group.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from collections import deque
 from collections.abc import Mapping
 
@@ -267,33 +266,6 @@ def strand_images(p: Presentation, n: int) -> dict[str, Permutation]:
             raise ValueError(f"generator name {name!r} is ambiguous for n={n}: {splits}")
         images[name] = Permutation.interval_reversal(n, *splits[0])
     return images
-
-
-def _rotations(w: SignedWord):
-    for k in range(max(1, len(w))):
-        yield w[k:] + w[:k]
-
-
-def one_relator_equivalent(a: Presentation, b: Presentation) -> bool:
-    """Whether two one-relator presentations differ only by renaming
-    generators (possibly onto inverses), rotating the relator, or inverting
-    it.  These moves never change the group."""
-    if len(a.relators) != 1 or len(b.relators) != 1:
-        return False
-    if len(a.generators) != len(b.generators):
-        return False
-    target = set()
-    for base in (b.relators[0], invert_word(b.relators[0])):
-        target.update(_rotations(base))
-    rel = a.relators[0]
-    for names in itertools.permutations(b.generators):
-        mapping = dict(zip(a.generators, names))
-        for signs in itertools.product((1, -1), repeat=len(a.generators)):
-            flip = dict(zip(a.generators, signs))
-            image = tuple((mapping[g], e * flip[g]) for g, e in rel)
-            if image in target:
-                return True
-    return False
 
 
 # Spellings of the pure generators on 4 strands using inner generators as

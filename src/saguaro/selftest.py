@@ -101,11 +101,10 @@ def check_torsion_parity(rng: random.Random, sizes: Sizes) -> list[str]:
             failures.append(f"odd-ish order {got} for {w}")
     for _ in range(sizes.pure_words):
         w = sampling.random_pure_word(4, 6, rng)
-        if cactus.is_trivial(w):
-            continue
-        got = cactus.order(w, bound=64)
-        if got is not None:
-            failures.append(f"pure element {w} has order {got}")
+        # order() assumes PJ_n torsion-free; test it here directly: in a
+        # right-angled Coxeter group, the only finite order besides 1 is 2.
+        if not cactus.is_trivial(w) and cactus.is_trivial(w.power(2)):
+            failures.append(f"pure element {w} has order 2")
     return failures
 
 

@@ -14,14 +14,20 @@ label sets, not on the bit masks the package uses.  Also kept: the element
 order that probes every power up to the bound with a length-based pruning
 rule, the Tietze step that substitutes into every relator for every
 candidate, with the simplification loop, cleanup and descending-name
-tie-break wrapper around it, and the dense textbook Smith normal form.
+tie-break wrapper around it, the dense textbook Smith normal form, and the
+Kahn linearization that tests every pair of letters for an edge.
+
+The last part holds helpers that only tests use: the cancellable pairs and
+letter multiset of a Gauss word, and the matcher of one-relator
+presentations up to renaming, rotation and inversion.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
-from collections.abc import Sequence
+from collections import Counter, deque
+from collections.abc import Callable, Iterator, Sequence
 
 from saguaro.cactus import (  # noqa: F401
     CactusLetter,
@@ -252,6 +258,38 @@ def canonical_letters(letters: Sequence[L], commute: CommutationPredicate) -> tu
     return tuple(out)
 
 
+def least_linearization(
+    letters: Sequence[L], commute: CommutationPredicate, key: Callable[[L], object] | None = None
+) -> Iterator[L]:
+    """Yield a reduced word in the lexicographically least order, by key, that
+    its commutation class allows.
+
+    Kahn's algorithm over the non-commutation DAG (i -> j for i < j whose
+    letters do not commute): each step emits the least source.  Sources
+    pairwise commute and, the word being reduced, are pairwise distinct, so
+    the choice is unambiguous.  The key is evaluated lazily, after the
+    consumer has handled the previous letter, so it may read state that the
+    consumer updates as it goes.
+    """
+    successors: list[list[int]] = [[] for _ in letters]
+    blockers = [0] * len(letters)
+    for j, b in enumerate(letters):
+        for i in range(j):
+            if not commute(letters[i], b):
+                successors[i].append(j)
+                blockers[j] += 1
+    sources = [j for j, count in enumerate(blockers) if not count]
+    by_key = letters.__getitem__ if key is None else lambda j: key(letters[j])
+    while sources:
+        best = min(sources, key=by_key) if len(sources) > 1 else sources[0]
+        sources.remove(best)
+        yield letters[best]
+        for j in successors[best]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                sources.append(j)
+
+
 def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
     """Project to width-i data: the Gauss word of the leaf-i crossings (in the
     width-i diagram group, where letters commute only when disjoint) plus the
@@ -466,3 +504,48 @@ def smith_diagonal(matrix: list[list[int]]) -> list[int]:
                 g = math.gcd(diag[i], diag[j])
                 diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag
+
+
+def cancellable_pairs(letters: Sequence[L], commute: CommutationPredicate) -> list[tuple[int, int]]:
+    """All pairs (i, j) of equal letters with everything strictly between commuting."""
+    pairs = []
+    for j, letter in enumerate(letters):
+        for i in range(j - 1, -1, -1):
+            if letters[i] == letter:
+                pairs.append((i, j))
+                break
+            if not commute(letters[i], letter):
+                break
+    return pairs
+
+
+def letter_multiset(letters: Sequence[L], commute: CommutationPredicate) -> Counter:
+    """Multiset of letters of a reduction; independent of the reduction order."""
+    return Counter(reduce_letters(letters, commute))
+
+
+def _rotations(w: SignedWord):
+    for k in range(max(1, len(w))):
+        yield w[k:] + w[:k]
+
+
+def one_relator_equivalent(a: Presentation, b: Presentation) -> bool:
+    """Whether two one-relator presentations differ only by renaming
+    generators (possibly onto inverses), rotating the relator, or inverting
+    it.  These moves never change the group."""
+    if len(a.relators) != 1 or len(b.relators) != 1:
+        return False
+    if len(a.generators) != len(b.generators):
+        return False
+    target = set()
+    for base in (b.relators[0], invert_word(b.relators[0])):
+        target.update(_rotations(base))
+    rel = a.relators[0]
+    for names in itertools.permutations(b.generators):
+        mapping = dict(zip(a.generators, names))
+        for signs in itertools.product((1, -1), repeat=len(a.generators)):
+            flip = dict(zip(a.generators, signs))
+            image = tuple((mapping[g], e * flip[g]) for g, e in rel)
+            if image in target:
+                return True
+    return False

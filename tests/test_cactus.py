@@ -115,20 +115,20 @@ def test_order_examples():
     assert cactus.order(CactusWord(2)) == 1
 
 
-def test_order_pushes_at_most_2m_copies_whatever_the_bound(monkeypatch):
+def test_order_pushes_m_copies_whatever_the_bound(monkeypatch):
     # s(1,2) s(1,3) has infinite order and strand permutation order m = 3;
-    # push 7 raises, so a probe over every k <= bound fails instead of hanging
+    # push 4 raises, so a probe over further powers fails instead of hanging
     calls = []
     push = cactus._push_reading
 
     def counted(*args):
         calls.append(None)
-        assert len(calls) <= 6, "more than 2m = 6 pushes"
+        assert len(calls) <= 3, "more than m = 3 pushes"
         return push(*args)
 
     monkeypatch.setattr(cactus, "_push_reading", counted)
     assert cactus.order(word(3, [(1, 2), (1, 3)]), bound=10**12) is None
-    assert len(calls) == 6
+    assert len(calls) == 3
 
 
 def test_torsion_witnesses():

@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from saguaro import cactus, cli, syntax
 from saguaro.cli import main
 
@@ -30,19 +32,20 @@ def test_order_output(capsys):
     assert code == 0 and out.strip() == "absent"
 
 
-def test_order_huge_bound_decides_from_two_powers(monkeypatch, capsys):
+def test_order_huge_bound_decides_from_one_power(monkeypatch, capsys):
     # s(1,2) s(1,3) has infinite order and strand permutation order m = 3
     calls = []
     push = cactus._push_reading
 
     def counted(*args):
         calls.append(None)
-        assert len(calls) <= 6, "more than 2m = 6 pushes"
+        assert len(calls) <= 3, "more than m = 3 pushes"
         return push(*args)
 
     monkeypatch.setattr(cactus, "_push_reading", counted)
     code, out, _ = run(capsys, "order", "-n", "3", "s(1,2) s(1,3)", "--bound", "1000000000000")
     assert code == 0 and out.strip() == "absent"
+    assert len(calls) == 3
 
 
 def test_word_commands_reject_huge_n_before_parsing(tmp_path, monkeypatch, capsys):
@@ -99,6 +102,13 @@ def test_member_slice_and_file(tmp_path, capsys):
         capsys, "member", "-n", "4", "s(1,4) s(1,2) s(1,4)", "--collection", str(collection)
     )
     assert code == 0 and out.strip() == "true"
+
+
+@pytest.mark.parametrize("bad", ["x", "2", "2,x", "1,2,3"])
+def test_member_bad_slice_names_the_option(capsys, bad):
+    code, out, err = run(capsys, "member", "-n", "4", "s(1,3)", "--slice", bad)
+    assert code == 2 and out == ""
+    assert f"--slice needs two integers i,j, got {bad!r}" in err
 
 
 def test_erase_and_decompose(capsys):

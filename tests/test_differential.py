@@ -68,6 +68,86 @@ def test_canonical_letters_match_greedy_scan():
                 )
 
 
+def both_linearizations(letters, commute, key=None):
+    mine = tuple(racg.least_linearization(letters, commute, key))
+    theirs = tuple(oracles.least_linearization(letters, commute, key))
+    return mine, theirs
+
+
+def random_masks(rng, n, length):
+    return [sum(1 << x for x in rng.sample(range(1, n + 1), rng.randint(2, n)))
+            for _ in range(length)]
+
+
+def test_least_linearization_matches_all_pairs_kahn():
+    # Reduced or not, the transitive reduction must emit what the full DAG does.
+    rng = random.Random(39)
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        letters = random_masks(rng, n, rng.randint(0, 60))
+        for commute in (racg.masks_commute, lambda a, b: not a & b):
+            for seq in (letters, racg.reduce_letters(letters, commute)):
+                mine, theirs = both_linearizations(seq, commute)
+                assert mine == theirs
+                mine, theirs = both_linearizations(seq, commute, key=lambda m: -m)
+                assert mine == theirs
+        gauss = tuple(racg.tau(*rng.sample(range(1, n + 1), rng.randint(2, n)))
+                      for _ in range(rng.randint(0, 40)))
+        for commute in (racg.commutes, racg.commutes_disjoint):
+            mine, theirs = both_linearizations(racg.reduce_letters(gauss, commute), commute)
+            assert mine == theirs
+
+
+def span_linearizations(w):
+    """The canonical form of w, linearized by each implementation under the
+    cactus key, the spelling of a mask under the running label state."""
+    reduced = cactus._push_reading(w.letters, list(range(1, w.n + 1)), [])
+    out = []
+    for impl in (racg.least_linearization, oracles.least_linearization):
+        labels = list(range(1, w.n + 1))
+        front = impl(reduced, racg.masks_commute, key=lambda m: cactus._span(labels, m))
+        out.append(cactus._respell(w.n, front, labels))
+    return out
+
+
+def test_least_linearization_matches_all_pairs_kahn_under_cactus_key():
+    rng = random.Random(40)
+    words = [long_word(rng, n, rng.randint(0, 200)) for n in range(2, 25) for _ in range(12)]
+    words += [long_word(rng, 12, 2000), long_word(rng, 24, 2000)]
+    for w in words:
+        mine, theirs = span_linearizations(w)
+        assert mine == theirs == cactus.canonical(w)
+
+
+def test_least_linearization_matches_all_pairs_kahn_on_structured_words():
+    tau = racg.tau
+    disjoint = [tau(2 * k + 1, 2 * k + 2) for k in range(12)]
+    random.Random(41).shuffle(disjoint)
+    tower = [tau(*range(1, k + 1)) for k in range(2, 13)]
+    chain = [tau(1, 2), tau(2, 3)] * 50
+    for letters in (disjoint, tower, tower[::-1], chain):
+        for commute in (racg.commutes, racg.commutes_disjoint):
+            mine, theirs = both_linearizations(letters, commute)
+            assert mine == theirs
+            assert mine == oracles.canonical_letters(letters, commute)
+    assert tuple(racg.least_linearization(disjoint, racg.commutes)) == tuple(sorted(disjoint))
+
+
+def test_least_linearization_tests_only_the_chain_on_a_chain():
+    # (t{1,2} t{2,3})^k: every letter's only direct predecessor is the one
+    # before it, which already covers all the others.
+    for k in (1, 2, 10, 500):
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return racg.commutes(a, b)
+
+        chain = (racg.tau(1, 2), racg.tau(2, 3)) * k
+        assert tuple(racg.least_linearization(chain, counted)) == chain
+        assert len(calls) == 2 * k - 1
+
+
 def test_eraser_width_matches_oracle():
     for rng, u, _ in random_pairs(34, 600, range(2, 9), 40):
         i = rng.randint(2, u.n)

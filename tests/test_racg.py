@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import commutation_class
+from oracles import cancellable_pairs, commutation_class, letter_multiset
 from saguaro import racg
 from saguaro.racg import GaussLetter, GaussWord, tau
 
@@ -89,12 +89,12 @@ def test_equal_rejects_size_mismatch():
 
 def test_letter_multiset():
     w = gw(4, (1, 2), (3, 4), (1, 2))
-    assert racg.letter_multiset(w.letters, racg.commutes) == Counter({tau(3, 4): 1})
+    assert letter_multiset(w.letters, racg.commutes) == Counter({tau(3, 4): 1})
     irreducible = gw(4, (1, 2), (1, 3))
-    assert racg.letter_multiset(irreducible.letters, racg.commutes) == Counter(
+    assert letter_multiset(irreducible.letters, racg.commutes) == Counter(
         irreducible.letters
     )
-    assert racg.letter_multiset(gw(2, (1, 2), (1, 2)).letters, racg.commutes) == Counter()
+    assert letter_multiset(gw(2, (1, 2), (1, 2)).letters, racg.commutes) == Counter()
 
 
 def test_reduction_confluence_random_orders():
@@ -106,7 +106,7 @@ def test_reduction_confluence_random_orders():
             for _ in range(3):
                 current = list(w.letters)
                 while True:
-                    pairs = racg.cancellable_pairs(current, racg.commutes)
+                    pairs = cancellable_pairs(current, racg.commutes)
                     if not pairs:
                         break
                     i, j = rng.choice(pairs)
@@ -149,5 +149,5 @@ def test_geodesic_property():
         w = random_gauss_word(4, 8, rng)
         canonical = racg.canonical_letters(w.letters, racg.commutes)
         assert len(canonical) <= len(w.letters)
-        irreducible = not racg.cancellable_pairs(w.letters, racg.commutes)
+        irreducible = not cancellable_pairs(w.letters, racg.commutes)
         assert (len(canonical) == len(w.letters)) == irreducible

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import one_relator_equivalent
 from saguaro import cactus
 from saguaro.cactus import word
 from saguaro.perm import Permutation
@@ -13,7 +14,6 @@ from saguaro.presentation import (
 from saguaro.rschreier import (
     build_transversal,
     expand_rs_word,
-    one_relator_equivalent,
     rewrite,
     rs_generators,
     rs_presentation,
