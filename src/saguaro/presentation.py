@@ -9,19 +9,23 @@ Relator words live in a free group: letters are (generator, +-1) pairs and no
 involutivity is assumed.
 
 Both simplifications are sized for Reidemeister-Schreier output, hundreds to
-thousands of short relators.  A Tietze step keeps an occurrence index, the
-relators containing each generator, so a candidate elimination is costed on
-the relators it rewrites and nowhere else.  The Smith normal form removes
-unit pivots on sparse rows first and leaves only a small remainder to the
-dense textbook algorithm.
+thousands of short relators.  Tietze simplification is one greedy
+elimination loop over state kept between its steps, as in Havas, Kenne,
+Richardson and Robertson, A Tietze transformation program (1984): relators
+as signed generator indices, their class keys, the occurrence index and the
+cost of every candidate, each recomputed only where a step rewrote or
+dropped a relator (tietze_simplify says why every step is still the one a
+search from scratch would take).  The Smith normal form takes the exponent
+sums as sparse rows built straight from the relators, removes unit pivots
+first and leaves only a small remainder to the dense textbook algorithm.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import math
-from collections import Counter
 
 SignedWord = tuple[tuple[str, int], ...]
 
@@ -78,45 +82,6 @@ def cyclic_reduce(w: SignedWord) -> SignedWord:
     return tuple(word)
 
 
-def _substitute(
-    w: SignedWord, name: str, replacement: SignedWord, inverse: SignedWord
-) -> list[tuple[str, int]]:
-    """w with name^1 spelled as replacement and name^-1 as its inverse,
-    unreduced: callers reduce once, cyclically."""
-    out: list[tuple[str, int]] = []
-    for letter in w:
-        if letter[0] != name:
-            out.append(letter)
-        else:
-            out.extend(replacement if letter[1] == 1 else inverse)
-    return out
-
-
-def _relator_key(w: SignedWord) -> SignedWord:
-    """Least rotation of the relator or its inverse; relators equal up to
-    cyclic rotation and inversion share one key."""
-    candidates = []
-    for base in (w, invert_word(w)):
-        for k in range(max(1, len(base))):
-            candidates.append(base[k:] + base[:k])
-    return min(candidates)
-
-
-def _classes(relators) -> dict[SignedWord, SignedWord]:
-    """The non-empty cyclic reductions of the relators, first of each class up
-    to rotation and inversion, keyed by _relator_key, in input order."""
-    classes: dict[SignedWord, SignedWord] = {}
-    for rel in relators:
-        reduced = cyclic_reduce(rel)
-        if reduced:
-            classes.setdefault(_relator_key(reduced), reduced)
-    return classes
-
-
-def _cleanup(p: Presentation) -> Presentation:
-    return Presentation(p.generators, tuple(_classes(p.relators).values()))
-
-
 def _natural_key(name: str) -> tuple:
     """Name order with digit runs compared numerically, so g9 < g10."""
     runs = []
@@ -126,21 +91,205 @@ def _natural_key(name: str) -> tuple:
     return tuple(runs)
 
 
-def _solvable(p: Presentation):
-    """(relator index, generator) pairs where the generator occurs exactly once
-    in the relator, so the relator can be solved for it."""
-    for ri, rel in enumerate(p.relators):
-        for name, count in Counter(name for name, _ in rel).items():
-            if count == 1:
-                yield ri, name
+# Inside the elimination loop a relator is a tuple of signed generator
+# indices: +-(i + 1) for the i-th generator and its inverse.
+IndexWord = tuple[int, ...]
 
 
-def _solution(rel: SignedWord, name: str) -> tuple[SignedWord, SignedWord]:
-    """The words that a generator occurring once in a relator and its
-    inverse equal by it, reduced."""
-    pos = next(i for i, (g, _) in enumerate(rel) if g == name)
-    word = free_reduce(rel[pos + 1 :] + rel[:pos])
-    return (invert_word(word), word) if rel[pos][1] == 1 else (word, invert_word(word))
+def _substitute(w: IndexWord, g: int, replacement: IndexWord, inverse: IndexWord) -> IndexWord:
+    """w with g spelled as replacement and -g as inverse, cyclically reduced."""
+    out: list[int] = []
+    for x in w:
+        if x == g:
+            spelled = replacement
+        elif x == -g:
+            spelled = inverse
+        elif out and out[-1] == -x:
+            out.pop()
+            continue
+        else:
+            out.append(x)
+            continue
+        for y in spelled:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i] == -out[j - 1]:
+        i, j = i + 1, j - 1
+    return tuple(out[i:j])
+
+
+def _class_key(w: IndexWord) -> IndexWord:
+    """Least rotation of the relator or its inverse; relators equal up to
+    cyclic rotation and inversion share one key."""
+    inverse = tuple(-x for x in reversed(w))
+    return min(base[k:] + base[:k] for base in (w, inverse) for k in range(len(base)))
+
+
+def _solution(rel: IndexWord, pos: int) -> tuple[IndexWord, IndexWord]:
+    """The words that the generator at rel[pos], occurring once in the
+    cyclically reduced relator rel, and its inverse equal by it.  The rest of
+    rel read from pos + 1 is a cyclic subword, so it is already reduced."""
+    word = rel[pos + 1 :] + rel[:pos]
+    inverse = tuple(-x for x in reversed(word))
+    return (inverse, word) if rel[pos] > 0 else (word, inverse)
+
+
+class _Tietze:
+    """The state of one greedy elimination loop, kept between its steps.
+
+    Relators are index words under ids that follow their position, cyclically
+    reduced, one per class up to rotation and inversion.  Besides them the
+    loop keeps each relator's class key, the occurrence index (generator ->
+    ids of the relators containing it) and every candidate, a (pivot
+    relator, generator) pair with the generator occurring once in the pivot.
+    A candidate's total is the presentation length after it is applied.  A
+    relator lacking the generator is unchanged by it, so the total is the
+    pivot's length removed plus the length change of each indexed relator,
+    and each candidate keeps those changes.  After a step, the relators it
+    rewrote or dropped are the only ones whose changes are computed again,
+    for the candidates of the generators they contained; a rewritten pivot
+    is costed afresh.  The keys live in a heap whose outdated entries are
+    skipped when they surface.
+    """
+
+    def __init__(self, p: Presentation):
+        self.names = p.generators
+        natural = [_natural_key(name) for name in p.generators]
+        order = {key: r for r, key in enumerate(sorted(set(natural)))}
+        # rank[g]: the place of generator g in name order, equal names tied
+        self.rank = [0] + [order[key] for key in natural]
+        self.relators: dict[int, IndexWord] = {}
+        self.keys: dict[int, IndexWord] = {}
+        self.owner: dict[IndexWord, int] = {}  # class key -> id of its relator
+        self.occurs: dict[int, set[int]] = {g: set() for g in range(1, len(natural) + 1)}
+        # generator -> pivot id -> (key, {relator id: its length change})
+        self.costs: dict[int, dict[int, tuple[tuple, dict[int, int]]]] = {}
+        self.heap: list[tuple[tuple, int]] = []
+        index = {name: g for g, name in enumerate(p.generators, start=1)}
+        for rid, rel in enumerate(p.relators):
+            w = tuple(index[name] * sign for name, sign in cyclic_reduce(rel))
+            key = _class_key(w) if w else None
+            if w and key not in self.owner:
+                self._add(rid, w, key)
+        for g, ids in self.occurs.items():
+            self._cost(g, ids)
+
+    def _add(self, rid: int, w: IndexWord, key: IndexWord) -> None:
+        self.relators[rid] = w
+        self.keys[rid] = key
+        self.owner[key] = rid
+        for g in set(map(abs, w)):
+            self.occurs[g].add(rid)
+
+    def _drop(self, rid: int) -> IndexWord:
+        w = self.relators.pop(rid)
+        del self.owner[self.keys.pop(rid)]
+        for g in set(map(abs, w)):
+            self.occurs[g].discard(rid)
+        return w
+
+    def _cost(self, g: int, changed: set[int]) -> None:
+        """Key every candidate elimination of g: (total less the current
+        length, pivot length, -name rank, pivot id, position of g in the
+        pivot).  changed holds the ids of the relators containing g that were
+        rewritten or dropped since g was last costed; only they are
+        substituted into again, and only they can gain or lose a candidate."""
+        old = self.costs.get(g, {})
+        costs = {}
+        occurs = self.occurs[g]
+        redo = [rj for rj in changed if rj in occurs]
+        for rid, (key, deltas) in old.items():
+            if rid in changed:
+                continue
+            total = key[0] - sum(deltas.pop(rj, 0) for rj in changed)
+            if redo:
+                replacement, inverse = _solution(self.relators[rid], key[4])
+                total += self._deltas(g, replacement, inverse, redo, deltas)
+            costs[rid] = ((total, *key[1:]), deltas)
+            if total != key[0]:
+                heapq.heappush(self.heap, (costs[rid][0], g))
+        for rid in redo:
+            rel = self.relators[rid]
+            if rel.count(g) + rel.count(-g) != 1:
+                continue
+            pos = rel.index(g) if g in rel else rel.index(-g)
+            replacement, inverse = _solution(rel, pos)
+            deltas = {}
+            others = [rj for rj in occurs if rj != rid]
+            total = self._deltas(g, replacement, inverse, others, deltas) - len(rel)
+            key = (total, len(rel), -self.rank[g], rid, pos)
+            costs[rid] = (key, deltas)
+            heapq.heappush(self.heap, (key, g))
+        if costs:
+            self.costs[g] = costs
+        else:
+            self.costs.pop(g, None)
+
+    def _deltas(self, g, replacement, inverse, ids, deltas: dict[int, int]) -> int:
+        """Record in deltas the length change of each relator in ids when g
+        is substituted away; return their sum."""
+        total = 0
+        for rj in ids:
+            other = self.relators[rj]
+            delta = deltas[rj] = len(_substitute(other, g, replacement, inverse)) - len(other)
+            total += delta
+        return total
+
+    def _live(self, key: tuple, g: int) -> bool:
+        """Whether a heap entry is the current key of its candidate."""
+        entry = self.costs.get(g, {}).get(key[3])
+        return entry is not None and entry[0] == key
+
+    def step(self) -> bool:
+        """Apply the least candidate; False when there is none."""
+        heap = self.heap
+        while heap and not self._live(*heap[0]):
+            heapq.heappop(heap)
+        if not heap:
+            return False
+        (_, _, _, rid, pos), g = heapq.heappop(heap)
+        # generator -> ids of the relators containing it that change
+        changed: dict[int, set[int]] = {}
+
+        def touch(rj: int, w: IndexWord) -> None:
+            for x in w:
+                changed.setdefault(abs(x), set()).add(rj)
+
+        pivot = self._drop(rid)
+        touch(rid, pivot)
+        replacement, inverse = _solution(pivot, pos)
+        rewritten = sorted(self.occurs[g])
+        olds = [self._drop(rj) for rj in rewritten]
+        del self.occurs[g], self.costs[g]
+        for rj, old in zip(rewritten, olds):
+            touch(rj, old)
+            new = _substitute(old, g, replacement, inverse)
+            if not new:
+                continue
+            key = _class_key(new)
+            holder = self.owner.get(key)
+            if holder is not None and holder < rj:
+                continue
+            if holder is not None:
+                touch(holder, self._drop(holder))
+            self._add(rj, new, key)
+            touch(rj, new)
+        del changed[g]
+        for h, ids in changed.items():
+            self._cost(h, ids)
+        return True
+
+    def presentation(self) -> Presentation:
+        names = self.names
+        generators = tuple(name for g, name in enumerate(names, start=1) if g in self.occurs)
+        relators = tuple(
+            tuple((names[abs(x) - 1], 1 if x > 0 else -1) for x in self.relators[rid])
+            for rid in sorted(self.relators)
+        )
+        return Presentation(generators, relators)
 
 
 def tietze_step(p: Presentation) -> Presentation | None:
@@ -151,55 +300,16 @@ def tietze_step(p: Presentation) -> Presentation | None:
     one minimizing the total presentation length afterwards is applied; ties
     prefer a shorter pivot relator, then eliminate the generator latest in
     name order (digit runs compared numerically, so earlier names survive),
-    then the earliest relator.  The input is cleaned up (cyclic reduction,
-    duplicate relators dropped) before searching, and so is the result.
+    then the earliest relator, then the generator earliest in it.  The input
+    is cleaned up (cyclic reduction, duplicate relators up to rotation and
+    inversion dropped, the first of each class kept) before searching, and so
+    is the result.
 
-    The search reads an occurrence index, the relators containing each
-    generator.  Clean relators are cyclically reduced, so substituting into
-    one that lacks the generator leaves it unchanged: a candidate's total is
-    the current one less its pivot relator plus the length change of the
-    indexed relators, and only the winner's relators are rewritten.  The
-    result's cleanup computes class keys for those rewritten relators only.
+    This builds the state of tietze_simplify's loop from p and takes one
+    step of it, so both share one code path.
     """
-    classes = _classes(p.relators)
-    p = Presentation(p.generators, tuple(classes.values()))
-    occurs: dict[str, list[int]] = {}
-    for ri, rel in enumerate(p.relators):
-        for name in dict.fromkeys(name for name, _ in rel):
-            occurs.setdefault(name, []).append(ri)
-    size = sum(map(len, p.relators))
-    natural = {name: _natural_key(name) for name in occurs}
-    rank = {key: i for i, key in enumerate(sorted(set(natural.values())))}
-    best = None
-    for ri, name in _solvable(p):
-        rel = p.relators[ri]
-        replacement, inverse = _solution(rel, name)
-        total = size - len(rel)
-        for rj in occurs[name]:
-            if rj != ri:
-                other = p.relators[rj]
-                substituted = cyclic_reduce(_substitute(other, name, replacement, inverse))
-                total += len(substituted) - len(other)
-        key = (total, len(rel), -rank[natural[name]], ri)
-        if best is None or key < best[0]:
-            best = (key, name, replacement, inverse)
-    if best is None:
-        return None
-    (_, _, _, ri), name, replacement, inverse = best
-    touched = set(occurs[name])
-    keys = list(classes)
-    result: dict[SignedWord, SignedWord] = {}
-    for rj, rel in enumerate(p.relators):
-        if rj == ri:
-            continue
-        if rj in touched:
-            rel = cyclic_reduce(_substitute(rel, name, replacement, inverse))
-            if rel:
-                result.setdefault(_relator_key(rel), rel)
-        else:
-            result.setdefault(keys[rj], rel)
-    generators = tuple(g for g in p.generators if g != name)
-    return Presentation(generators, tuple(result.values()))
+    state = _Tietze(p)
+    return state.presentation() if state.step() else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,7 +323,15 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPresentati
     """Eliminate generators until a fixpoint or the step budget runs out.
 
     Only removals are performed (no generator additions), so the process
-    terminates; the resulting presentation defines the same group.
+    terminates; the resulting presentation defines the same group.  Each
+    step is tietze_step's, taken on state that persists between steps: the
+    relators as index words, their class keys, the occurrence index and the
+    candidate keys, which a step re-costs only where it rewrote or dropped a
+    relator.  A rewritten relator keeps its id, so ids stay in position order
+    and the tie-break key, which ends with the pivot's id and the
+    generator's position in it, picks what a fresh search of the same
+    presentation picks: every step, and the result, is that of tietze_step
+    applied repeatedly.
 
     >>> p = Presentation(('x', 'y'), ((('y', 1), ('x', -1)),))
     >>> r = tietze_simplify(p)
@@ -222,18 +340,12 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPresentati
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
-    current, steps = p, 0
-    while steps < budget:
-        next_p = tietze_step(current)
-        if next_p is None:
-            break
-        current, steps = next_p, steps + 1
-    if steps == 0:
-        # tietze_step cleans its result, so only an input never stepped on
-        # needs cleaning here
-        current = _cleanup(p)
-    exhausted = steps == budget and next(_solvable(current), None) is not None
-    return SimplifiedPresentation(current, steps, exhausted)
+    state = _Tietze(p)
+    steps = 0
+    while steps < budget and state.step():
+        steps += 1
+    exhausted = steps == budget and bool(state.costs)
+    return SimplifiedPresentation(state.presentation(), steps, exhausted)
 
 
 def involutive_generators(p: Presentation) -> frozenset[str]:
@@ -249,27 +361,44 @@ def involutive_generators(p: Presentation) -> frozenset[str]:
     return frozenset(names)
 
 
-def exponent_matrix(p: Presentation) -> list[list[int]]:
-    """Relator-by-generator matrix of exponent sums."""
-    index = {name: i for i, name in enumerate(p.generators)}
+def _exponent_rows(p: Presentation) -> list[dict[int, int]]:
+    """The exponent sums of each relator, as a {generator index: sum} row
+    without zeros, in index order: the sparse relator-by-generator matrix.
+
+    >>> _exponent_rows(Presentation(('x', 'y'), ((('y', 1), ('x', 1), ('y', -1)),)))
+    [{0: 1}]
+    """
+    index = {name: j for j, name in enumerate(p.generators)}
     rows = []
     for rel in p.relators:
-        row = [0] * len(p.generators)
+        row: dict[int, int] = {}
         for name, sign in rel:
-            row[index[name]] += sign
-        rows.append(row)
+            j = index[name]
+            row[j] = row.get(j, 0) + sign
+        rows.append({j: v for j, v in sorted(row.items()) if v})
     return rows
+
+
+def exponent_matrix(p: Presentation) -> list[list[int]]:
+    """Relator-by-generator matrix of exponent sums: _exponent_rows, dense."""
+    matrix = []
+    for sparse in _exponent_rows(p):
+        row = [0] * len(p.generators)
+        for j, v in sparse.items():
+            row[j] = v
+        matrix.append(row)
+    return matrix
 
 
 def smith_diagonal(matrix: list[list[int]]) -> list[int]:
     """Nonnegative diagonal of the Smith normal form, d1 | d2 | ... .
 
     Relator matrices are large and sparse, with mostly unit entries: the
-    rows become {column: value} dicts indexed by column, and while some
-    entry is +-1 it is taken as a pivot, its column is cleared from the
-    other rows, and its row and column are dropped with a 1 recorded.  The
-    pivot is taken in a shortest row, from the column with fewest entries,
-    to limit fill-in.  The textbook pivoting algorithm then runs on the
+    rows become {column: value} dicts, the form in which abelianization
+    builds them from the relators, and while some entry is +-1 it is taken
+    as a pivot, its column is cleared from the other rows, and its row and
+    column are dropped with a 1 recorded.  The pivot is taken in a shortest
+    row, from the column with fewest entries, to limit fill-in.  The textbook pivoting algorithm then runs on the
     small remainder.  The Smith form is unique, so the pivot order does not
     change the result.
 
@@ -278,8 +407,13 @@ def smith_diagonal(matrix: list[list[int]]) -> list[int]:
     >>> smith_diagonal([[1, 2, 0], [3, 4, 0], [0, 0, 1]])
     [1, 1, 2]
     """
-    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(matrix)}
-    rows = {i: row for i, row in rows.items() if row}
+    return _sparse_smith_diagonal([{j: v for j, v in enumerate(row) if v} for row in matrix])
+
+
+def _sparse_smith_diagonal(matrix: list[dict[int, int]]) -> list[int]:
+    """smith_diagonal of a matrix given as {column: value} rows without
+    zeros, such as _exponent_rows builds; the rows are consumed."""
+    rows = {i: row for i, row in enumerate(matrix) if row}
     where: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
@@ -374,7 +508,7 @@ def abelianization(p: Presentation) -> tuple[int, tuple[int, ...]]:
     >>> abelianization(Presentation(('x', 'y'), ()))
     (2, ())
     """
-    diag = smith_diagonal(exponent_matrix(p))
+    diag = _sparse_smith_diagonal(_exponent_rows(p))
     nonzero = [d for d in diag if d != 0]
     rank = len(p.generators) - len(nonzero)
     return rank, tuple(d for d in nonzero if d > 1)

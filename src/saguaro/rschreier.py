@@ -239,33 +239,40 @@ def rs_presentation(
     return tietze_simplify(raw, budget)
 
 
-def strand_images(p: Presentation, n: int) -> dict[str, Permutation]:
-    """Interpret generator names s<p><q> as interval reversals of S_n.
+def interval_of(name: str, n: int) -> tuple[int, int]:
+    """The interval (p, q) that a generator name s<p><q> stands for in J_n.
 
     The digits are split as p and q with 1 <= p < q <= n and no leading zero;
     a name with no such split, or with more than one, is rejected.
+
+    >>> interval_of('s110', 10), interval_of('s45', 5)
+    ((1, 10), (4, 5))
+    """
+    digits = name[1:]
+    splits = []
+    # p and q have at most as many digits as n, which bounds the work
+    short = len(digits) <= 2 * len(str(n))
+    if name.startswith("s") and digits.isascii() and digits.isdigit() and short:
+        for k in range(1, len(digits)):
+            a, b = digits[:k], digits[k:]
+            if a[0] != "0" and b[0] != "0" and 1 <= int(a) < int(b) <= n:
+                splits.append((int(a), int(b)))
+    if not splits:
+        raise ValueError(f"cannot infer an interval from generator name {name!r} for n={n}")
+    if len(splits) > 1:
+        raise ValueError(f"generator name {name!r} is ambiguous for n={n}: {splits}")
+    return splits[0]
+
+
+def strand_images(p: Presentation, n: int) -> dict[str, Permutation]:
+    """Interpret generator names s<p><q> as interval reversals of S_n, the
+    intervals read by interval_of.
 
     >>> images = strand_images(Presentation(('s12', 's110'), ()), 10)
     >>> images['s110'] == Permutation.interval_reversal(10, 1, 10)
     True
     """
-    images = {}
-    for name in p.generators:
-        digits = name[1:]
-        splits = []
-        # p and q have at most as many digits as n, which bounds the work
-        short = len(digits) <= 2 * len(str(n))
-        if name.startswith("s") and digits.isascii() and digits.isdigit() and short:
-            for k in range(1, len(digits)):
-                a, b = digits[:k], digits[k:]
-                if a[0] != "0" and b[0] != "0" and 1 <= int(a) < int(b) <= n:
-                    splits.append((int(a), int(b)))
-        if not splits:
-            raise ValueError(f"cannot infer an interval from generator name {name!r} for n={n}")
-        if len(splits) > 1:
-            raise ValueError(f"generator name {name!r} is ambiguous for n={n}: {splits}")
-        images[name] = Permutation.interval_reversal(n, *splits[0])
-    return images
+    return {name: Permutation.interval_reversal(n, *interval_of(name, n)) for name in p.generators}
 
 
 # Spellings of the pure generators on 4 strands using inner generators as

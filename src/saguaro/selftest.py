@@ -206,14 +206,11 @@ _EXPECTED_TRANSVERSAL = [
 ]
 
 
-def _rs_word_to_cactus(t: rschreier.Transversal, signed) -> CactusWord:
-    letters = []
-    for name, sign in signed:
-        expanded = t.word_of_name[name]
-        if sign == -1:
-            expanded = tuple(reversed(expanded))
-        letters.extend((1, int(ambient[2])) for ambient, _ in expanded)
-    return word(4, letters)
+def _rs_word_to_cactus(t: rschreier.Transversal, signed, n: int) -> CactusWord:
+    """A word in the RS generators of a cactus presentation on generators
+    s<p><q>, spelled in J_n; every s<p><q> is an involution there."""
+    ambient = rschreier.expand_rs_word(t, signed)
+    return word(n, [rschreier.interval_of(name, n) for name, _ in ambient])
 
 
 def check_rs_j4(rng: random.Random, sizes: Sizes) -> list[str]:
@@ -235,7 +232,7 @@ def check_rs_j4(rng: random.Random, sizes: Sizes) -> list[str]:
         if got != tuple((name, 1) for name in expected):
             failures.append(f"rewrite at coset {coset} gave {got}, expected {expected}")
     for relation in _J4_IDENTIFICATIONS:
-        if not cactus.is_trivial(_rs_word_to_cactus(t, relation)):
+        if not cactus.is_trivial(_rs_word_to_cactus(t, relation, 4)):
             failures.append(f"identification relation {relation} fails in J_4")
     simplified = rs_presentation(p, images).presentation
     if len(simplified.generators) != 5:
@@ -247,7 +244,7 @@ def check_rs_j4(rng: random.Random, sizes: Sizes) -> list[str]:
     if abelianization(builtin("PJ4_target")) != (4, (2,)):
         failures.append("target presentation has the wrong abelianization")
     if simplified.relators and not cactus.is_trivial(
-        _rs_word_to_cactus(t, simplified.relators[0])
+        _rs_word_to_cactus(t, simplified.relators[0], 4)
     ):
         failures.append("simplified relator does not hold in J_4")
     return failures

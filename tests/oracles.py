@@ -14,8 +14,12 @@ label sets, not on the bit masks the package uses.  Also kept: the element
 order that probes every power up to the bound with a length-based pruning
 rule, the Tietze step that substitutes into every relator for every
 candidate, with the simplification loop, cleanup and descending-name
-tie-break wrapper around it, the dense textbook Smith normal form, and the
-Kahn linearization that tests every pair of letters for an edge.
+tie-break wrapper around it, the dense textbook Smith normal form, the
+Kahn linearization that tests every pair of letters for an edge, the cactus
+canonical form whose key scans every position for a letter's strands, and
+the indexed Tietze step, which rebuilds its occurrence index and re-costs
+every candidate at each step, with the loop around it and the name-keyed
+helpers it reads.
 
 The last part holds helpers that only tests use: the cancellable pairs and
 letter multiset of a Gauss word, and the matcher of one-relator
@@ -27,8 +31,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
+from saguaro import racg
 from saguaro.cactus import (  # noqa: F401
     CactusLetter,
     CactusWord,
@@ -42,9 +47,6 @@ from saguaro.presentation import (
     Presentation,
     SignedWord,
     SimplifiedPresentation,
-    _natural_key,
-    _relator_key,
-    _solvable,
     cyclic_reduce,
     free_reduce,
     invert_word,
@@ -289,6 +291,48 @@ def least_linearization(
             if not blockers[j]:
                 sources.append(j)
 
+# The cactus canonical form as it was when its key scanned every position for
+# the strands of a letter; names prefixed with scan_, bodies verbatim.
+
+
+def _scan_span(labels: list[int], mask: int) -> tuple[int, int]:
+    """First and last position of the strands in a label mask."""
+    inside = [pos for pos, strand in enumerate(labels, start=1) if mask >> strand & 1]
+    return inside[0], inside[-1]
+
+
+def _scan_respell(n: int, masks: Iterable[int], labels: list[int]) -> CactusWord:
+    """Spell each Gauss letter, given by its label mask, as the interval its
+    strands occupy, crossing it before the next is spelled."""
+    out = []
+    for mask in masks:
+        p, q = _scan_span(labels, mask)
+        assert q - p + 1 == mask.bit_count(), f"labels {mask:b} are not one block"
+        out.append(CactusLetter(p, q))
+        labels[p - 1 : q] = labels[p - 1 : q][::-1]
+    return CactusWord(n, tuple(out))
+
+
+def scan_canonical(w: CactusWord) -> CactusWord:
+    """Canonical representative: greedily emit the least letter (in (p, q)
+    order) that exchange moves can bring to the front.
+
+    A letter can reach the front exactly when its Gauss letter is a source of
+    the non-commutation DAG of the reduced reading, and there it is spelled
+    under the current label state; the sources have distinct spellings, so
+    the greedy choice is well defined and two words represent the same cactus
+    iff their canonical forms coincide letterwise.
+
+    >>> str(scan_canonical(word(4, [(3, 4), (1, 2)])))
+    's(1,2) s(3,4)'
+    >>> str(scan_canonical(word(4, [(1, 4), (1, 2)])))
+    's(1,4) s(1,2)'
+    """
+    reduced = _push_reading(w.letters, list(range(1, w.n + 1)), [])
+    labels = list(range(1, w.n + 1))
+    front = racg.least_linearization(reduced, racg.masks_commute, key=lambda m: _scan_span(labels, m))
+    return _scan_respell(w.n, front, labels)
+
 
 def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
     """Project to width-i data: the Gauss word of the leaf-i crossings (in the
@@ -449,6 +493,161 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPresentati
         current = next_p
         steps += 1
     exhausted = next(_solvable(current), None) is not None
+    return SimplifiedPresentation(current, steps, exhausted)
+
+
+def _relator_key(w: SignedWord) -> SignedWord:
+    """Least rotation of the relator or its inverse; relators equal up to
+    cyclic rotation and inversion share one key."""
+    candidates = []
+    for base in (w, invert_word(w)):
+        for k in range(max(1, len(base))):
+            candidates.append(base[k:] + base[:k])
+    return min(candidates)
+
+
+def _natural_key(name: str) -> tuple:
+    """Name order with digit runs compared numerically, so g9 < g10."""
+    runs = []
+    for is_digit, group in itertools.groupby(name, str.isdigit):
+        text = "".join(group)
+        runs.append((1, int(text)) if is_digit else (0, text))
+    return tuple(runs)
+
+
+def _solvable(p: Presentation):
+    """(relator index, generator) pairs where the generator occurs exactly once
+    in the relator, so the relator can be solved for it."""
+    for ri, rel in enumerate(p.relators):
+        for name, count in Counter(name for name, _ in rel).items():
+            if count == 1:
+                yield ri, name
+
+
+# The indexed Tietze step and its loop as they were before the loop kept its
+# state between steps; names prefixed with indexed_, bodies verbatim.
+
+
+def _indexed_substitute(
+    w: SignedWord, name: str, replacement: SignedWord, inverse: SignedWord
+) -> list[tuple[str, int]]:
+    """w with name^1 spelled as replacement and name^-1 as its inverse,
+    unreduced: callers reduce once, cyclically."""
+    out: list[tuple[str, int]] = []
+    for letter in w:
+        if letter[0] != name:
+            out.append(letter)
+        else:
+            out.extend(replacement if letter[1] == 1 else inverse)
+    return out
+
+
+def _indexed_classes(relators) -> dict[SignedWord, SignedWord]:
+    """The non-empty cyclic reductions of the relators, first of each class up
+    to rotation and inversion, keyed by _relator_key, in input order."""
+    classes: dict[SignedWord, SignedWord] = {}
+    for rel in relators:
+        reduced = cyclic_reduce(rel)
+        if reduced:
+            classes.setdefault(_relator_key(reduced), reduced)
+    return classes
+
+
+def _indexed_cleanup(p: Presentation) -> Presentation:
+    return Presentation(p.generators, tuple(_indexed_classes(p.relators).values()))
+
+
+def _indexed_solution(rel: SignedWord, name: str) -> tuple[SignedWord, SignedWord]:
+    """The words that a generator occurring once in a relator and its
+    inverse equal by it, reduced."""
+    pos = next(i for i, (g, _) in enumerate(rel) if g == name)
+    word = free_reduce(rel[pos + 1 :] + rel[:pos])
+    return (invert_word(word), word) if rel[pos][1] == 1 else (word, invert_word(word))
+
+
+def indexed_tietze_step(p: Presentation) -> Presentation | None:
+    """One generator elimination, or None when no relator offers one.
+
+    Any generator occurring exactly once in some relator can be solved for
+    and substituted away.  Among the eligible (generator, relator) pairs the
+    one minimizing the total presentation length afterwards is applied; ties
+    prefer a shorter pivot relator, then eliminate the generator latest in
+    name order (digit runs compared numerically, so earlier names survive),
+    then the earliest relator.  The input is cleaned up (cyclic reduction,
+    duplicate relators dropped) before searching, and so is the result.
+
+    The search reads an occurrence index, the relators containing each
+    generator.  Clean relators are cyclically reduced, so substituting into
+    one that lacks the generator leaves it unchanged: a candidate's total is
+    the current one less its pivot relator plus the length change of the
+    indexed relators, and only the winner's relators are rewritten.  The
+    result's cleanup computes class keys for those rewritten relators only.
+    """
+    classes = _indexed_classes(p.relators)
+    p = Presentation(p.generators, tuple(classes.values()))
+    occurs: dict[str, list[int]] = {}
+    for ri, rel in enumerate(p.relators):
+        for name in dict.fromkeys(name for name, _ in rel):
+            occurs.setdefault(name, []).append(ri)
+    size = sum(map(len, p.relators))
+    natural = {name: _natural_key(name) for name in occurs}
+    rank = {key: i for i, key in enumerate(sorted(set(natural.values())))}
+    best = None
+    for ri, name in _solvable(p):
+        rel = p.relators[ri]
+        replacement, inverse = _indexed_solution(rel, name)
+        total = size - len(rel)
+        for rj in occurs[name]:
+            if rj != ri:
+                other = p.relators[rj]
+                substituted = cyclic_reduce(_indexed_substitute(other, name, replacement, inverse))
+                total += len(substituted) - len(other)
+        key = (total, len(rel), -rank[natural[name]], ri)
+        if best is None or key < best[0]:
+            best = (key, name, replacement, inverse)
+    if best is None:
+        return None
+    (_, _, _, ri), name, replacement, inverse = best
+    touched = set(occurs[name])
+    keys = list(classes)
+    result: dict[SignedWord, SignedWord] = {}
+    for rj, rel in enumerate(p.relators):
+        if rj == ri:
+            continue
+        if rj in touched:
+            rel = cyclic_reduce(_indexed_substitute(rel, name, replacement, inverse))
+            if rel:
+                result.setdefault(_relator_key(rel), rel)
+        else:
+            result.setdefault(keys[rj], rel)
+    generators = tuple(g for g in p.generators if g != name)
+    return Presentation(generators, tuple(result.values()))
+
+
+def indexed_tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPresentation:
+    """Eliminate generators until a fixpoint or the step budget runs out.
+
+    Only removals are performed (no generator additions), so the process
+    terminates; the resulting presentation defines the same group.
+
+    >>> p = Presentation(('x', 'y'), ((('y', 1), ('x', -1)),))
+    >>> r = indexed_tietze_simplify(p)
+    >>> r.presentation.generators, r.presentation.relators
+    (('x',), ())
+    """
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
+    current, steps = p, 0
+    while steps < budget:
+        next_p = indexed_tietze_step(current)
+        if next_p is None:
+            break
+        current, steps = next_p, steps + 1
+    if steps == 0:
+        # tietze_step cleans its result, so only an input never stepped on
+        # needs cleaning here
+        current = _indexed_cleanup(p)
+    exhausted = steps == budget and next(_solvable(current), None) is not None
     return SimplifiedPresentation(current, steps, exhausted)
 
 

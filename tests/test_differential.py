@@ -105,8 +105,8 @@ def span_linearizations(w):
     out = []
     for impl in (racg.least_linearization, oracles.least_linearization):
         labels = list(range(1, w.n + 1))
-        front = impl(reduced, racg.masks_commute, key=lambda m: cactus._span(labels, m))
-        out.append(cactus._respell(w.n, front, labels))
+        front = impl(reduced, racg.masks_commute, key=lambda m: oracles._scan_span(labels, m))
+        out.append(oracles._scan_respell(w.n, front, labels))
     return out
 
 
@@ -118,6 +118,16 @@ def test_least_linearization_matches_all_pairs_kahn_under_cactus_key():
         mine, theirs = span_linearizations(w)
         assert mine == theirs == cactus.canonical(w)
 
+
+
+def test_canonical_matches_the_scanning_key():
+    # The key reads the positions of a letter's strands from the strand ->
+    # position list; the old one scanned every position for them.
+    rng = random.Random(42)
+    words = [long_word(rng, n, rng.randint(0, 200)) for n in range(2, 25) for _ in range(12)]
+    words += [long_word(rng, 12, 2000)]
+    for w in words:
+        assert cactus.canonical(w) == oracles.scan_canonical(w)
 
 def test_least_linearization_matches_all_pairs_kahn_on_structured_words():
     tau = racg.tau

@@ -1,7 +1,8 @@
 """The Reidemeister-Schreier pipeline on the full presentations of J4 and J5
 (every interval generator s<p><q>): Tietze and Smith normal form checked
 against the earlier implementations kept in oracles.py, and the pure cactus
-groups PJ4 and PJ5 checked against published invariants."""
+groups PJ4 and PJ5 checked against published invariants and, relator by
+relator, against the cactus word problem."""
 
 import itertools
 import random
@@ -9,6 +10,7 @@ import random
 import pytest
 
 import oracles
+from saguaro import cactus, presentation
 from saguaro.presentation import (
     Presentation,
     SimplifiedPresentation,
@@ -23,12 +25,14 @@ from saguaro.presentation import (
     tietze_step,
 )
 from saguaro.rschreier import (
+    Transversal,
     build_transversal,
     rewrite,
     rs_generators,
     rs_relators,
     strand_images,
 )
+from saguaro.selftest import _rs_word_to_cactus
 
 
 def full_presentation(n: int, seed: int) -> Presentation:
@@ -49,15 +53,24 @@ def full_presentation(n: int, seed: int) -> Presentation:
     return Presentation(tuple(name[x] for x in intervals), tuple(relators))
 
 
-def raw_rs(p: Presentation, n: int) -> Presentation:
+def rs_data(p: Presentation, n: int) -> tuple[Transversal, Presentation]:
     t = build_transversal(p, strand_images(p, n))
     generators = tuple(g.name for g in rs_generators(t))
-    return Presentation(generators, tuple(rs_relators(p, t)))
+    return t, Presentation(generators, tuple(rs_relators(p, t)))
+
+
+def raw_rs(p: Presentation, n: int) -> Presentation:
+    return rs_data(p, n)[1]
 
 
 @pytest.fixture(scope="module")
 def raw_j4():
     return raw_rs(full_presentation(4, 1), 4)
+
+
+@pytest.fixture(scope="module")
+def j5():
+    return rs_data(full_presentation(5, 1), 5)
 
 
 def test_rs_relators_are_the_rewritten_conjugates():
@@ -89,6 +102,23 @@ def test_tietze_tie_break_matches_oracle_on_equal_name_keys():
             assert tietze_simplify(p, budget) == oracles.tietze_simplify(p, budget)
 
 
+
+def test_tietze_matches_indexed_loop_on_random_presentations():
+    # Duplicates, empty and unreduced relators, unused generators and equal
+    # name keys, at every budget up to the fixpoint.
+    names = ("g1", "g01", "g2", "g10", "x2", "x02", "a", "b")
+    rng = random.Random(43)
+    for _ in range(200):
+        generators = tuple(rng.sample(names, rng.randint(1, len(names))))
+        relators = tuple(
+            tuple((rng.choice(generators), rng.choice((1, -1))) for _ in range(rng.randint(0, 7)))
+            for _ in range(rng.randint(0, 8))
+        )
+        p = Presentation(generators, relators)
+        fixpoint = oracles.indexed_tietze_simplify(p).steps
+        for budget in range(fixpoint + 2):
+            assert tietze_simplify(p, budget) == oracles.indexed_tietze_simplify(p, budget)
+
 def test_tietze_matches_oracle_on_full_j4(raw_j4):
     assert (len(raw_j4.generators), len(raw_j4.relators)) == (98, 338)
     states = [oracles._cleanup(raw_j4)]
@@ -99,6 +129,72 @@ def test_tietze_matches_oracle_on_full_j4(raw_j4):
     for budget in (0, 1, 2, 5, 10):
         expected = SimplifiedPresentation(states[budget], budget, True)
         assert tietze_simplify(raw_j4, budget) == expected
+
+
+def indexed_steps(p: Presentation, limit: int) -> list[Presentation]:
+    """The cleaned presentation and up to limit steps of the indexed Tietze
+    step kept in oracles.py, which builds every step afresh."""
+    states = [oracles._indexed_cleanup(p)]
+    while len(states) <= limit:
+        step = oracles.indexed_tietze_step(states[-1])
+        if step is None:
+            break
+        states.append(step)
+    return states
+
+
+def assert_loop_follows(p: Presentation, states: list[Presentation]) -> None:
+    """The elimination loop, stepping its own state, passes through states."""
+    loop = presentation._Tietze(p)
+    for state in states[:-1]:
+        assert loop.presentation() == state
+        assert loop.step()
+    assert loop.presentation() == states[-1]
+
+
+def test_tietze_matches_indexed_step_at_every_step_of_full_j4(raw_j4):
+    states = indexed_steps(raw_j4, 1000)
+    assert len(states) == 94
+    assert_loop_follows(raw_j4, states)
+    assert not presentation._Tietze(states[-1]).step()
+    for before, after in zip(states, states[1:]):
+        assert tietze_step(before) == after
+    for budget in (0, 1, 2, 5, 10, 93, 1000):
+        steps = min(budget, 93)
+        expected = SimplifiedPresentation(states[steps], steps, budget < 93)
+        assert tietze_simplify(raw_j4, budget) == expected
+
+
+def test_tietze_matches_indexed_step_on_raw_j5(j5):
+    _, raw = j5
+    states = indexed_steps(raw, 5)
+    assert_loop_follows(raw, states)
+    assert tietze_simplify(raw, 5) == SimplifiedPresentation(states[5], 5, True)
+
+
+# The fixpoint of raw PJ5 (full_presentation(5, 1)), byte-identical to what
+# the indexed step reaches after 946 steps.
+PJ5_GENERATORS = (
+    "a_k3_s12", "a_k12_s14", "a_k13_s13", "a_k14_s13", "a_k19_s14", "a_k21_s12",
+    "a_k21_s15", "a_k22_s14", "a_k28_s15", "a_k35_s34", "a_k37_s12", "a_k38_s24",
+    "a_k40_s23", "a_k41_s25", "a_k75_s14", "a_k76_s25",
+)
+PJ5_RELATOR_LENGTHS = [
+    4, 14, 18, 12, 8, 10, 12, 16, 16, 12, 26, 18, 24, 22, 12, 18, 14, 12, 8, 12, 16, 24,
+    38, 24, 30, 22, 30, 22, 10, 16, 30, 22, 16, 18, 22, 20, 26, 18, 12, 32, 30, 14, 22, 30,
+]
+
+
+def test_pj5_reaches_a_tietze_fixpoint(j5):
+    t, raw = j5
+    result = tietze_simplify(raw)
+    simplified = result.presentation
+    assert (result.steps, result.budget_exhausted) == (946, False)
+    assert simplified.generators == PJ5_GENERATORS
+    assert [len(rel) for rel in simplified.relators] == PJ5_RELATOR_LENGTHS
+    assert abelianization(simplified) == (10, (2,) * 6)
+    for rel in simplified.relators:
+        assert cactus.is_trivial(_rs_word_to_cactus(t, rel, 5))
 
 
 def test_full_j4_simplifies_to_one_relator(raw_j4):
@@ -124,8 +220,8 @@ def gf2_rank(matrix: list[list[int]]) -> int:
     return len(pivots)
 
 
-def test_pj5_abelianization():
-    raw = raw_rs(full_presentation(5, 1), 5)
+def test_pj5_abelianization(j5):
+    _, raw = j5
     assert (len(raw.generators), len(raw.relators)) == (962, 4562)
     rank, factors = abelianization(raw)
     # b1(PJ5) = 10 and all torsion is 2-torsion (Etingof-Henriques-Kamnitzer-Rains)
