@@ -114,7 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--presentation", help="presentation file (gens:/rels: format)")
     source.add_argument("--builtin", choices=["J3", "J4"], help="builtin cactus presentation")
     rs.add_argument("--images", help="generator image file, 'name: (2,1,3,4)' per line")
-    rs.add_argument("--strands", type=int, help="derive images s<pq> -> interval reversal")
+    rs.add_argument(
+        "--strands", type=int,
+        help=f"derive images s<pq> -> interval reversal, 2 to {MAX_STRANDS} strands",
+    )
     rs.add_argument("--budget", type=int, default=1000)
     rs.add_argument("--json", action="store_true")
 
@@ -208,6 +211,9 @@ def run(args: argparse.Namespace) -> int:
 def _run_rs(args: argparse.Namespace) -> int:
     if args.budget < 0:
         raise SystemExit2(f"need budget >= 0, got {args.budget}")
+    # checked before the presentation is read: the images allocate per strand
+    if args.strands is not None and not 2 <= args.strands <= MAX_STRANDS:
+        raise SystemExit2(f"need 2 <= --strands <= {MAX_STRANDS}, got {args.strands}")
     pres = _presentation_from_args(args)
     if args.images:
         with open(args.images, encoding="utf-8") as handle:

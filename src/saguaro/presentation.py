@@ -230,11 +230,34 @@ class _Tietze:
 
     def _deltas(self, g, replacement, inverse, ids, deltas: dict[int, int]) -> int:
         """Record in deltas the length change of each relator in ids when g
-        is substituted away; return their sum."""
+        is substituted away; return their sum.
+
+        The common case needs no substitution.  Say g^e occurs once in a
+        relator w of length >= 2, at position i, and its spelling S is not
+        empty.  w with S in place of w[i] is A S B, where A = w[:i] and
+        B = w[i + 1:].  A, B and S are reduced: the first two are subwords
+        of the cyclically reduced w, and S or its inverse is a cyclic
+        subword of the cyclically reduced pivot.  If w[i - 1] (cyclically) does not cancel
+        against S[0], nor S[-1] against w[i + 1], then both joins are
+        reduced, and so are the cyclic ends: they are those of w when i is
+        inside w, and one of the two joins when i is at an end.  So A S B is
+        _substitute's result, and the change is len(S) - 1.  Every other
+        case is substituted.
+        """
         total = 0
+        size = len(replacement)
         for rj in ids:
             other = self.relators[rj]
-            delta = deltas[rj] = len(_substitute(other, g, replacement, inverse)) - len(other)
+            n = len(other)
+            delta = None
+            if size and n >= 2 and other.count(g) + other.count(-g) == 1:
+                i = other.index(g) if g in other else other.index(-g)
+                spelled = replacement if other[i] == g else inverse
+                if other[i - 1] != -spelled[0] and spelled[-1] != -other[(i + 1) % n]:
+                    delta = size - 1
+            if delta is None:
+                delta = len(_substitute(other, g, replacement, inverse)) - n
+            deltas[rj] = delta
             total += delta
         return total
 

@@ -7,9 +7,17 @@ prefix-closed (Schreier) transversal.  For a transversal word k and generator
 x, the element a_{k,x} = (k x)(kx-bar)^-1 lies in the kernel; the non-trivial
 ones generate it.  Rewriting the conjugated relators k r k^-1 through the
 coset walk expresses a complete set of relations in these generators, which
-Tietze simplification then shrinks.  Each transversal computes its table of
-reduced a_{k,x} once, when it is built; the rewriting function, the generator
-list and the expansion back into ambient words all read that table.
+Tietze simplification then shrinks.
+
+Each transversal is a set of integer tables, built once.  The search composes
+raw image tuples; the coset action and its inverse are int lists indexed by
+generator position; each a_{k,x} is reduced by cancelling the common suffix
+of k x and kx-bar, and its name is formatted once, into one pair of letters
+(name, +-1) shared by every reader.  Relators are coded as column indices
+once and walked from every coset through one (next coset, letter, inverse
+letter) table, reducing freely as they go by comparing letters by identity.
+The rewriting function, the generator list, the relators and the expansion
+back into ambient words all read these tables.
 
 Generators carrying an x^2 relator are treated as involutions: ambient words
 spell x^-1 as x and cancel adjacent equal copies, so a_{k,x} counts as
@@ -27,7 +35,6 @@ defining words inside the 4-strand cactus group.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from collections.abc import Mapping
 
 from . import cactus
@@ -37,7 +44,6 @@ from .presentation import (
     PJ4_GENERATOR_WORDS,
     SignedWord,
     SimplifiedPresentation,
-    free_reduce,
     invert_word,
     involutive_generators,
     tietze_simplify,
@@ -49,7 +55,13 @@ class Transversal:
 
     Coset 0 is the subgroup itself; representatives are the breadth-first
     discovery words (generators tried in declaration order), hence positive
-    and prefix-closed.
+    and prefix-closed.  Tables are indexed by coset k, then generator
+    position i: action[k][i] is the coset k x_i and inverse_action[k][i] that
+    of k x_i^-1; words[k][x] is a_{k,x} reduced, keyed by name; letters[k][i]
+    is the pair of letters (name, 1), (name, -1) of a_{k,x_i}, or None when
+    it is trivial.  steps[k][c] says where the letter coded c (see code)
+    leads from k: (that coset, the letter it rewrites to or None, the
+    inverse of that letter).
     """
 
     def __init__(
@@ -67,38 +79,59 @@ class Transversal:
         self.generators = generators
         self.images = dict(images)
         self.involutive = involutive
+        self.position = {g: i for i, g in enumerate(generators)}
+        # The images are valid Permutations, so the search composes their
+        # 0-based image tuples directly; perms grows in discovery order.
+        tables = [tuple(x - 1 for x in images[g].images) for g in generators]
+        identity = tuple(range(sizes.pop() if sizes else 1))
+        perms = [identity]
+        index = {identity: 0}
         self.reps: list[SignedWord] = [()]
-        self.perms: list[Permutation] = [Permutation.identity(sizes.pop() if sizes else 1)]
-        self.action: list[dict[str, int]] = [{}]
-        index = {self.perms[0]: 0}
-        queue = deque([0])
-        while queue:
-            k = queue.popleft()
-            for g in generators:
-                target = self.perms[k] * self.images[g]
-                t = index.get(target)
-                if t is None:
-                    t = len(self.reps)
-                    index[target] = t
+        self.action: list[list[int]] = []
+        for k, perm in enumerate(perms):
+            row = []
+            for g, table in zip(generators, tables):
+                target = tuple(map(table.__getitem__, perm))
+                t = index.setdefault(target, len(perms))
+                if t == len(perms):
+                    perms.append(target)
                     self.reps.append(self.reps[k] + ((g, 1),))
-                    self.perms.append(target)
-                    self.action.append({})
-                    queue.append(t)
-                self.action[k][g] = t
-        self.inverse_action: list[dict[str, int]] = [{} for _ in self.reps]
+                row.append(t)
+            self.action.append(row)
+        self.inverse_action: list[list[int]] = [[0] * len(generators) for _ in self.reps]
         for k, row in enumerate(self.action):
-            for g, t in row.items():
-                self.inverse_action[t][g] = k
-        # words[k][g] is a_{k,g} reduced; every reader of the RS generators
-        # looks them up here rather than rewriting the ambient word again
-        self.words: list[dict[str, SignedWord]] = [
-            {g: self.ambient_reduce(self.reps[k] + ((g, 1),) + invert_word(self.reps[t]))
-             for g, t in row.items()}
-            for k, row in enumerate(self.action)
+            for i, t in enumerate(row):
+                self.inverse_action[t][i] = k
+        # the ambient inverse of each representative, involutions positive
+        inverted = [
+            tuple((g, 1 if g in involutive else -1) for g, _ in reversed(rep))
+            for rep in self.reps
         ]
-        self.word_of_name: dict[str, SignedWord] = {
-            self.name(k, g): w for k, row in enumerate(self.words) for g, w in row.items()
-        }
+        self.words: list[dict[str, SignedWord]] = []
+        self.letters: list[list[tuple[tuple[str, int], tuple[str, int]] | None]] = []
+        self.word_of_name: dict[str, SignedWord] = {}
+        for k, row in enumerate(self.action):
+            rep = self.reps[k]
+            words = {}
+            letters = []
+            for g, t in zip(generators, row):
+                # rep x, with a final involutive x x cancelled
+                left = rep[:-1] if g in involutive and rep[-1:] == ((g, 1),) else rep + ((g, 1),)
+                w = words[g] = _kernel_word(left, self.reps[t], inverted[t])
+                name = self.name(k, g)
+                self.word_of_name[name] = w
+                letters.append(((name, 1), (name, -1)) if w else None)
+            self.words.append(words)
+            self.letters.append(letters)
+        self.steps: list[list[tuple]] = []
+        for k, row in enumerate(self.letters):
+            steps = []
+            for i, pair in enumerate(row):
+                steps.append((self.action[k][i], *(pair or (None, None))))
+                j = self.inverse_action[k][i]
+                back = self.letters[j][i]
+                steps.append((j, back[1], back[0]) if back else (j, None, None))
+            self.steps.append(steps)
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -129,6 +162,30 @@ class Transversal:
 
     def name(self, k: int, g: str) -> str:
         return f"a_k{k + 1}_{g}"
+
+    def code(self, w: SignedWord) -> tuple[int, ...]:
+        """w as columns of steps: 2i for x_i, 2i + 1 for its inverse."""
+        position = self.position
+        return tuple(2 * position[name] + (sign < 0) for name, sign in w)
+
+
+def _kernel_word(left: SignedWord, target: SignedWord, inverted: SignedWord) -> SignedWord:
+    """a_{k,x} = (k x)(kx-bar)^-1, reduced: left is the representative of k
+    times x, target that of kx, inverted the ambient inverse of target.
+
+    This is ambient_reduce(left + inverted), without its scan.  Both
+    representatives are positive breadth-first words, hence reduced: an
+    involutive letter never repeats next to itself, or a shorter word would
+    reach the same coset.  So left is reduced once a final involutive x x is
+    cancelled, which the caller does.  The letters of left and of inverted
+    then cancel in pairs across the join exactly while left and target end
+    alike, and what is left is reduced on either side and at the join.
+    """
+    i, j = len(left), len(target)
+    while i and j and left[i - 1] == target[j - 1]:
+        i -= 1
+        j -= 1
+    return left[:i] + inverted[len(target) - j :]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,28 +219,11 @@ def build_transversal(p: Presentation, images: Mapping[str, Permutation]) -> Tra
 def rs_generators(t: Transversal) -> list[RSGenerator]:
     """All non-trivial subgroup generators a_{k,x}, with expanded words."""
     out = []
-    for k in range(len(t)):
-        for g in t.generators:
-            w = t.rs_word(k, g)
-            if w:
-                out.append(RSGenerator(k, g, t.name(k, g), w))
+    for k, (row, words) in enumerate(zip(t.letters, t.words)):
+        for g, pair in zip(t.generators, row):
+            if pair:
+                out.append(RSGenerator(k, g, pair[0][0], words[g]))
     return out
-
-
-def _rewrite_from(t: Transversal, k: int, w: SignedWord) -> tuple[SignedWord, int]:
-    """Rewrite w walking from coset k: the a_{k,x}-word and the end coset."""
-    current = k
-    out = []
-    for name, sign in w:
-        if sign == 1:
-            k = current
-            current = t.action[current][name]
-        else:
-            current = t.inverse_action[current][name]
-            k = current
-        if t.words[k][name]:
-            out.append((t.name(k, name), sign))
-    return tuple(out), current
 
 
 def rewrite(t: Transversal, w: SignedWord) -> SignedWord:
@@ -194,10 +234,16 @@ def rewrite(t: Transversal, w: SignedWord) -> SignedWord:
     trivial generators are dropped.  Only meaningful on kernel words, so
     anything else is rejected.
     """
-    out, end = _rewrite_from(t, 0, w)
-    if end != 0:
+    steps = t.steps
+    out = []
+    k = 0
+    for c in t.code(w):
+        k, letter, _ = steps[k][c]
+        if letter is not None:
+            out.append(letter)
+    if k != 0:
         raise ValueError("word is not in the kernel")
-    return out
+    return tuple(out)
 
 
 def rs_relators(p: Presentation, t: Transversal) -> list[SignedWord]:
@@ -206,16 +252,27 @@ def rs_relators(p: Presentation, t: Transversal) -> list[SignedWord]:
     The transversal is prefix-closed, so every letter of k and of k^-1 crosses
     a transversal edge and rewrites to a trivial generator: tau(k r k^-1) is
     r rewritten from coset k, and it is a kernel word iff r returns to k.
+    Each relator is coded once and walked from every coset; a letter cancels
+    against the last one kept when that is its inverse, the same tuple.
     """
+    steps = t.steps
+    coded = [t.code(rel) for rel in p.relators]
     out = []
     for k in range(len(t)):
-        for rel in p.relators:
-            rewritten, end = _rewrite_from(t, k, rel)
+        for rel in coded:
+            word: list[tuple[str, int]] = []
+            end = k
+            for c in rel:
+                end, letter, undo = steps[end][c]
+                if letter is not None:
+                    if word and word[-1] is undo:
+                        word.pop()
+                    else:
+                        word.append(letter)
             if end != k:
                 raise ValueError("word is not in the kernel")
-            rewritten = free_reduce(rewritten)
-            if rewritten:
-                out.append(rewritten)
+            if word:
+                out.append(tuple(word))
     return out
 
 

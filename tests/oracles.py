@@ -19,7 +19,8 @@ Kahn linearization that tests every pair of letters for an edge, the cactus
 canonical form whose key scans every position for a letter's strands, and
 the indexed Tietze step, which rebuilds its occurrence index and re-costs
 every candidate at each step, with the loop around it and the name-keyed
-helpers it reads.
+helpers it reads; and the Reidemeister-Schreier transversal, generator list
+and rewriting that walked dicts keyed by generator name.
 
 The last part holds helpers that only tests use: the cancellable pairs and
 letter multiset of a Gauss word, and the matcher of one-relator
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from saguaro import racg
 from saguaro.cactus import (  # noqa: F401
@@ -52,6 +53,7 @@ from saguaro.presentation import (
     invert_word,
 )
 from saguaro.racg import CommutationPredicate, GaussLetter, GaussWord, L, reduce_letters
+from saguaro.rschreier import RSGenerator
 
 
 def exchange_class(w: CactusWord) -> set[tuple]:
@@ -703,6 +705,159 @@ def smith_diagonal(matrix: list[list[int]]) -> list[int]:
                 g = math.gcd(diag[i], diag[j])
                 diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag
+
+
+# The Reidemeister-Schreier transversal and rewriting as they were when they
+# walked dicts keyed by generator name, built a Permutation per coset product
+# and reduced every a_{k,x} with ambient_reduce; names prefixed with Named or
+# named_, bodies verbatim.
+
+
+class NamedTransversal:
+    """Schreier transversal of the kernel of a finite-image homomorphism.
+
+    Coset 0 is the subgroup itself; representatives are the breadth-first
+    discovery words (generators tried in declaration order), hence positive
+    and prefix-closed.
+    """
+
+    def __init__(
+        self,
+        generators: tuple[str, ...],
+        images: Mapping[str, Permutation],
+        involutive: frozenset[str] = frozenset(),
+    ):
+        missing = [g for g in generators if g not in images]
+        if missing:
+            raise ValueError(f"no image given for generators {missing}")
+        sizes = {images[g].n for g in generators}
+        if len(sizes) > 1:
+            raise ValueError(f"images act on different sets: {sorted(sizes)}")
+        self.generators = generators
+        self.images = dict(images)
+        self.involutive = involutive
+        self.reps: list[SignedWord] = [()]
+        self.perms: list[Permutation] = [Permutation.identity(sizes.pop() if sizes else 1)]
+        self.action: list[dict[str, int]] = [{}]
+        index = {self.perms[0]: 0}
+        queue = deque([0])
+        while queue:
+            k = queue.popleft()
+            for g in generators:
+                target = self.perms[k] * self.images[g]
+                t = index.get(target)
+                if t is None:
+                    t = len(self.reps)
+                    index[target] = t
+                    self.reps.append(self.reps[k] + ((g, 1),))
+                    self.perms.append(target)
+                    self.action.append({})
+                    queue.append(t)
+                self.action[k][g] = t
+        self.inverse_action: list[dict[str, int]] = [{} for _ in self.reps]
+        for k, row in enumerate(self.action):
+            for g, t in row.items():
+                self.inverse_action[t][g] = k
+        # words[k][g] is a_{k,g} reduced; every reader of the RS generators
+        # looks them up here rather than rewriting the ambient word again
+        self.words: list[dict[str, SignedWord]] = [
+            {g: self.ambient_reduce(self.reps[k] + ((g, 1),) + invert_word(self.reps[t]))
+             for g, t in row.items()}
+            for k, row in enumerate(self.action)
+        ]
+        self.word_of_name: dict[str, SignedWord] = {
+            self.name(k, g): w for k, row in enumerate(self.words) for g, w in row.items()
+        }
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def ambient_reduce(self, w: SignedWord) -> SignedWord:
+        """Reduced form in the ambient free product: involutive generators are
+        spelled positively and cancel in equal adjacent pairs; the rest cancel
+        only against their inverses."""
+        out: list[tuple[str, int]] = []
+        for name, sign in w:
+            if name in self.involutive:
+                sign = 1
+                cancels = bool(out) and out[-1] == (name, 1)
+            else:
+                cancels = bool(out) and out[-1] == (name, -sign)
+            if cancels:
+                out.pop()
+            else:
+                out.append((name, sign))
+        return tuple(out)
+
+    def rs_word(self, k: int, g: str) -> SignedWord:
+        """The kernel element a_{k,g} = (k g)(kg-bar)^-1, reduced."""
+        return self.words[k][g]
+
+    def is_trivial(self, k: int, g: str) -> bool:
+        return not self.words[k][g]
+
+    def name(self, k: int, g: str) -> str:
+        return f"a_k{k + 1}_{g}"
+
+
+def named_rs_generators(t: NamedTransversal) -> list[RSGenerator]:
+    """All non-trivial subgroup generators a_{k,x}, with expanded words."""
+    out = []
+    for k in range(len(t)):
+        for g in t.generators:
+            w = t.rs_word(k, g)
+            if w:
+                out.append(RSGenerator(k, g, t.name(k, g), w))
+    return out
+
+
+def _named_rewrite_from(t: NamedTransversal, k: int, w: SignedWord) -> tuple[SignedWord, int]:
+    """Rewrite w walking from coset k: the a_{k,x}-word and the end coset."""
+    current = k
+    out = []
+    for name, sign in w:
+        if sign == 1:
+            k = current
+            current = t.action[current][name]
+        else:
+            current = t.inverse_action[current][name]
+            k = current
+        if t.words[k][name]:
+            out.append((t.name(k, name), sign))
+    return tuple(out), current
+
+
+def named_rewrite(t: NamedTransversal, w: SignedWord) -> SignedWord:
+    """The rewriting function: spell a kernel word in the a_{k,x}.
+
+    Each letter x^e contributes a_{k,x}^e, where k is the coset of the prefix
+    before the letter for e = +1 and of the prefix through it for e = -1;
+    trivial generators are dropped.  Only meaningful on kernel words, so
+    anything else is rejected.
+    """
+    out, end = _named_rewrite_from(t, 0, w)
+    if end != 0:
+        raise ValueError("word is not in the kernel")
+    return out
+
+
+def named_rs_relators(p: Presentation, t: NamedTransversal) -> list[SignedWord]:
+    """Rewritten conjugated relators tau(k r k^-1), freely reduced, non-empty.
+
+    The transversal is prefix-closed, so every letter of k and of k^-1 crosses
+    a transversal edge and rewrites to a trivial generator: tau(k r k^-1) is
+    r rewritten from coset k, and it is a kernel word iff r returns to k.
+    """
+    out = []
+    for k in range(len(t)):
+        for rel in p.relators:
+            rewritten, end = _named_rewrite_from(t, k, rel)
+            if end != k:
+                raise ValueError("word is not in the kernel")
+            rewritten = free_reduce(rewritten)
+            if rewritten:
+                out.append(rewritten)
+    return out
 
 
 def cancellable_pairs(letters: Sequence[L], commute: CommutationPredicate) -> list[tuple[int, int]]:

@@ -158,6 +158,22 @@ def test_rs_rejects_ambiguous_generator_name(tmp_path, capsys):
     assert "s1213" in err and "ambiguous" in err
 
 
+@pytest.mark.parametrize("strands", ["0", "1", str(cli.MAX_STRANDS + 1), "300000"])
+def test_rs_rejects_strands_out_of_range_before_reading(tmp_path, capsys, strands):
+    absent = tmp_path / "absent.txt"  # an error reading it would name the file
+    code, out, err = run(capsys, "rs", "--presentation", str(absent), "--strands", strands)
+    assert code == 2 and out == ""
+    assert f"--strands <= {cli.MAX_STRANDS}, got {strands}" in err
+
+
+def test_rs_accepts_strands_at_both_limits(tmp_path, capsys):
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: s12\nrels: s12^2\n")
+    for strands in ("2", str(cli.MAX_STRANDS)):
+        code, out, _ = run(capsys, "rs", "--presentation", str(pres), "--strands", strands)
+        assert code == 0 and out.startswith("cosets: 2\n")
+
+
 def test_rs_from_files(tmp_path, capsys):
     pres = tmp_path / "j3.txt"
     pres.write_text("gens: s12 s13\nrels: s12^2\nrels: s13^2\n")

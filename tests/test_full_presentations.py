@@ -1,8 +1,8 @@
 """The Reidemeister-Schreier pipeline on the full presentations of J4 and J5
-(every interval generator s<p><q>): Tietze and Smith normal form checked
-against the earlier implementations kept in oracles.py, and the pure cactus
-groups PJ4 and PJ5 checked against published invariants and, relator by
-relator, against the cactus word problem."""
+(every interval generator s<p><q>): the transversal and rewriting, Tietze and
+Smith normal form checked against the earlier implementations kept in
+oracles.py, and the pure cactus groups PJ4 and PJ5 checked against published
+invariants and, relator by relator, against the cactus word problem."""
 
 import itertools
 import random
@@ -19,6 +19,7 @@ from saguaro.presentation import (
     exponent_matrix,
     free_reduce,
     invert_word,
+    involutive_generators,
     positive_word,
     smith_diagonal,
     tietze_simplify,
@@ -27,11 +28,13 @@ from saguaro.presentation import (
 from saguaro.rschreier import (
     Transversal,
     build_transversal,
+    expand_rs_word,
     rewrite,
     rs_generators,
     rs_relators,
     strand_images,
 )
+from saguaro.perm import Permutation
 from saguaro.selftest import _rs_word_to_cactus
 
 
@@ -81,6 +84,75 @@ def test_rs_relators_are_the_rewritten_conjugates():
         assert rs_relators(p, t) == expected
 
 
+def assert_rs_matches_oracle(p: Presentation, images) -> tuple:
+    """The transversal, its a_{k,x} table, the RS generators and the
+    rewritten relators, in order, equal those of the name-keyed oracle."""
+    t = build_transversal(p, images)
+    old = oracles.NamedTransversal(p.generators, images, involutive_generators(p))
+    assert t.reps == old.reps
+    for k in range(len(old)):
+        assert t.action[k] == [old.action[k][g] for g in p.generators]
+        assert t.inverse_action[k] == [old.inverse_action[k][g] for g in p.generators]
+    assert t.words == old.words
+    assert t.word_of_name == old.word_of_name
+    assert rs_generators(t) == oracles.named_rs_generators(old)
+    assert rs_relators(p, t) == oracles.named_rs_relators(p, old)
+    return t, old
+
+
+@pytest.mark.parametrize("p,n", [(builtin("J3"), 3), (builtin("J4"), 4)]
+                         + [(full_presentation(n, seed), n) for n in (4, 5) for seed in (1, 2, 3)])
+def test_rs_matches_oracle_on_cactus_presentations(p, n):
+    assert_rs_matches_oracle(p, strand_images(p, n))
+
+
+def random_rs_input(rng: random.Random) -> tuple[Presentation, dict]:
+    """Images in S_3 to S_5, some of them involutions declared by an x^2 or
+    x^-2 relator, some of order 3 or more, some trivial; the other relators
+    are powers of random signed words, raised to the order of their image."""
+    m = rng.randint(3, 5)
+    names = [f"x{i}" for i in range(rng.randint(1, 4))]
+    images, relators = {}, []
+    for name in names:
+        if rng.random() < 0.5:
+            points = rng.sample(range(1, m + 1), 2 * rng.randint(0, m // 2))
+            image = list(range(1, m + 1))
+            for a, b in zip(points[::2], points[1::2]):
+                image[a - 1], image[b - 1] = b, a
+            images[name] = Permutation(tuple(image))
+            relators.append(((name, rng.choice((1, -1))),) * 2)
+        else:
+            images[name] = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+    for _ in range(rng.randint(0, 4)):
+        w = tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(1, 4)))
+        image = Permutation.identity(m)
+        for name, sign in w:
+            image = image * (images[name] if sign == 1 else images[name].inverse())
+        relators.append(w * image.order())
+    rng.shuffle(relators)
+    return Presentation(tuple(names), tuple(relators)), images
+
+
+def test_rs_matches_oracle_on_random_presentations():
+    rng = random.Random(53)
+    for _ in range(150):
+        p, images = random_rs_input(rng)
+        t, old = assert_rs_matches_oracle(p, images)
+        for _ in range(5):
+            w = tuple((rng.choice(p.generators), rng.choice((1, -1))) for _ in range(rng.randint(0, 8)))
+            _, end = oracles._named_rewrite_from(old, 0, w)
+            if end != 0:
+                with pytest.raises(ValueError, match="not in the kernel"):
+                    oracles.named_rewrite(old, w)
+                with pytest.raises(ValueError, match="not in the kernel"):
+                    rewrite(t, w)
+            # w x x^-1 rep^-1 is a kernel word whose rewrite is not reduced
+            x = (rng.choice(p.generators), 1)
+            kernel = w + (x, (x[0], -1)) + invert_word(old.reps[end])
+            assert rewrite(t, kernel) == oracles.named_rewrite(old, kernel)
+            assert expand_rs_word(t, rewrite(t, kernel)) == t.ambient_reduce(kernel)
+
+
 @pytest.mark.parametrize("name,n", [("J3", 3), ("J4", 4)])
 def test_tietze_matches_oracle_on_builtin(name, n):
     raw = raw_rs(builtin(name), n)
@@ -118,6 +190,54 @@ def test_tietze_matches_indexed_loop_on_random_presentations():
         fixpoint = oracles.indexed_tietze_simplify(p).steps
         for budget in range(fixpoint + 2):
             assert tietze_simplify(p, budget) == oracles.indexed_tietze_simplify(p, budget)
+
+def test_tietze_costing_edge_cases_match_indexed_loop():
+    # The cases the costing without substitution must tell apart: relators
+    # of one letter, a pivot of one letter (g = 1), a pivot whose spelling
+    # of g is not cyclically reduced (x g x^-1 y gives g = x^-1 y^-1 x), both
+    # neighbours of g equal, g twice, and neighbours that cancel against
+    # either end of a spelling.
+    fixed = (
+        (("g", 1),),
+        (("a", -1),),
+        (("x", 1), ("g", 1), ("x", -1), ("y", 1)),
+        (("a", 1), ("g", 1), ("a", 1)),
+        (("g", 1), ("a", 1), ("g", 1), ("b", -1)),
+        (("x", 1), ("g", -1), ("y", 1)),
+        (("x", -1), ("g", 1), ("x", 1), ("b", 1)),
+    )
+    names = ("a", "b", "g", "x", "y")
+    # here the relator g changes by 0 when g is spelled x^-1 y^-1 x, not by 2
+    pinned = (fixed[2], (("y", -1), ("b", 1), ("a", -1), ("y", -1)), fixed[0],
+              (("a", 1), ("y", 1), ("x", 1), ("g", 1)))
+    rng = random.Random(47)
+    for trial in range(200):
+        relators = list(rng.sample(fixed, rng.randint(1, 4)))
+        for _ in range(rng.randint(0, 4)):
+            relators.append(tuple(
+                (rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))
+            ))
+        rng.shuffle(relators)
+        p = Presentation(names, pinned if trial == 0 else tuple(relators))
+        fixpoint = oracles.indexed_tietze_simplify(p).steps
+        for budget in range(fixpoint + 2):
+            assert tietze_simplify(p, budget) == oracles.indexed_tietze_simplify(p, budget)
+
+
+def test_tietze_costing_substitutes_only_where_lengths_can_cancel(raw_j4, monkeypatch):
+    # Substituting into every indexed relator for every candidate takes
+    # 5,329 calls on full J4 and 835 on builtin J4.
+    calls = []
+    substitute = presentation._substitute
+    monkeypatch.setattr(
+        presentation, "_substitute", lambda *args: calls.append(args) or substitute(*args)
+    )
+    tietze_simplify(raw_j4, 1)
+    assert len(calls) == 381
+    calls.clear()
+    tietze_simplify(raw_rs(builtin("J4"), 4))
+    assert len(calls) == 103
+
 
 def test_tietze_matches_oracle_on_full_j4(raw_j4):
     assert (len(raw_j4.generators), len(raw_j4.relators)) == (98, 338)
