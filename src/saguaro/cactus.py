@@ -11,7 +11,9 @@ rewriting happens on the Gauss side only: a cactus is trivial iff its reading
 reduces to the empty word, and u = v iff u v^-1 is trivial.  Reduced and
 canonical cactus words are re-spellings of the reduced and canonical Gauss
 words: replayed from the start, each Gauss letter finds its strands in one
-block of positions p..q and is spelled s(p, q).
+block of positions p..q and is spelled s(p, q).  The decisions label strand
+s by the bit 2**s, so a crossing's label mask is the sum of its block, and
+push the masks through racg.push_masks.
 """
 
 from __future__ import annotations
@@ -109,11 +111,10 @@ class ReadResult:
     perm: Permutation
 
 
-def walk(
-    letters: Iterable[CactusLetter], labels: list[int]
-) -> Iterator[tuple[CactusLetter, list[int]]]:
-    """The diagram walk.  labels[pos - 1] is the strand at position pos; for
-    each letter, yield it with the block of labels at positions p..q, then
+def walk(letters: Iterable[CactusLetter],
+         labels: list[int]) -> Iterator[tuple[CactusLetter, list[int]]]:
+    """The diagram walk.  labels[pos - 1] labels the strand at position pos;
+    for each letter, yield it with the block of labels at positions p..q, then
     reverse that block in place, so labels ends as the final label state."""
     for letter in letters:
         block = labels[letter.p - 1 : letter.q]
@@ -192,14 +193,15 @@ def _respell(n: int, masks: Iterable[int], where: list[int]) -> CactusWord:
     return CactusWord(n, tuple(out))
 
 
-def _push_reading(
-    letters: Iterable[CactusLetter], labels: list[int], reduced: list[int]
-) -> list[int]:
-    """Push the Gauss letters that `letters` read from the label state, as
-    label masks, onto a reduced word and return it."""
-    for _, block in walk(letters, labels):
-        racg.push_letter(reduced, racg.label_mask(block), racg.masks_commute)
-    return reduced
+def _bits(n: int) -> list[int]:
+    return [1 << s for s in range(1, n + 1)]  # the start state, strand s labelled 2**s
+
+
+def _push_reading(letters: Iterable[CactusLetter], labels: list[int],
+                  reduced: list[int]) -> list[int]:
+    """Push the Gauss letters that `letters` read from a label state of bits,
+    as label masks, onto a reduced word and return it."""
+    return racg.push_masks(reduced, [sum(block) for _, block in walk(letters, labels)])
 
 
 def reduce(w: CactusWord) -> CactusWord:
@@ -212,7 +214,7 @@ def reduce(w: CactusWord) -> CactusWord:
     >>> str(reduce(word(4, [(1, 4), (1, 2), (1, 4), (3, 4)])))
     ''
     """
-    reduced = _push_reading(w.letters, list(range(1, w.n + 1)), [])
+    reduced = _push_reading(w.letters, _bits(w.n), [])
     return _respell(w.n, reduced, list(range(w.n + 1)))
 
 
@@ -224,20 +226,18 @@ def canonical(w: CactusWord) -> CactusWord:
     the non-commutation DAG of the reduced reading, and there it is spelled
     under the current label state; the sources have distinct spellings, so
     the greedy choice is well defined and two words represent the same cactus
-    iff their canonical forms coincide letterwise.  A source's spelling is
-    read from the position of each of its strands, which the re-spelling
-    updates as it crosses each emitted letter, so the key costs one lookup
-    per strand of the letter rather than a scan of all n positions.
+    iff their canonical forms coincide letterwise.  The key reads a source's
+    spelling from the positions of its strands, which the re-spelling updates
+    as it crosses each letter: one lookup per strand, not a scan of all n.
 
     >>> str(canonical(word(4, [(3, 4), (1, 2)])))
     's(1,2) s(3,4)'
     >>> str(canonical(word(4, [(1, 4), (1, 2)])))
     's(1,4) s(1,2)'
     """
-    reduced = _push_reading(w.letters, list(range(1, w.n + 1)), [])
+    reduced = _push_reading(w.letters, _bits(w.n), [])
     where = list(range(w.n + 1))
-    # mask -> reader of the positions of its strands, made on first use
-    readers: dict[int, Callable[[list[int]], tuple[int, ...]]] = {}
+    readers: dict[int, Callable] = {}  # mask -> reader of its strands' positions
 
     def span(mask: int) -> tuple[int, int]:
         if mask not in readers:
@@ -258,11 +258,13 @@ def equal(u: CactusWord, v: CactusWord) -> bool:
     >>> equal(word(4, [(1, 4), (1, 2), (1, 4)]), word(4, [(3, 4)]))
     True
     """
-    return is_trivial(u * v.inverse())
+    if u.n != v.n:
+        raise ValueError(f"size mismatch: {u.n} vs {v.n}")
+    return not _push_reading(u.letters + v.letters[::-1], _bits(u.n), [])
 
 
 def is_trivial(w: CactusWord) -> bool:
-    return not _push_reading(w.letters, list(range(1, w.n + 1)), [])
+    return not _push_reading(w.letters, _bits(w.n), [])
 
 
 def geodesic_length(w: CactusWord) -> int:
@@ -280,9 +282,10 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
     aspherical (Davis, Januszkiewicz and Scott, Fundamental groups of
     blow-ups, Adv. Math. 2003).  So c^m, of finite order, is trivial and
     d = m: c has finite order iff c^m is trivial, which the Gauss side
-    decides, a power being trivial iff its reduced reading is empty.  m can
-    be as large as Landau's function of n, so the bound still guards the
-    pushes.
+    decides, a power being trivial iff its reduced reading is empty.  m is
+    read from the label state that pushing c leaves, then the other m - 1
+    copies are pushed; m can be as large as Landau's function of n, so the
+    bound guards them.
 
     >>> order(word(2, [(1, 2)]))
     2
@@ -291,12 +294,12 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
     """
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
-    m = s_image(c).order()
+    labels = _bits(c.n)
+    reduced = _push_reading(c.letters, labels, [])
+    m = Permutation(tuple(x.bit_length() - 1 for x in labels)).order()
     if m > bound:
         return None
-    labels = list(range(1, c.n + 1))
-    reduced: list[int] = []
-    for _ in range(m):
+    for _ in range(m - 1):
         _push_reading(c.letters, labels, reduced)
     return None if reduced else m
 

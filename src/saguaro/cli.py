@@ -55,7 +55,14 @@ def _load_collection(args) -> IntervalCollection:
             raise SystemExit2(f"--slice needs two integers i,j, got {args.slice!r}") from None
         return IntervalCollection.slice(args.n, i, j)
     with open(args.collection, encoding="utf-8") as handle:
-        pairs = json.load(handle)
+        try:
+            pairs = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SystemExit2(f"--collection {args.collection}: not JSON: {exc}") from None
+    for pq in pairs if isinstance(pairs, list) else [pairs]:
+        if not (isinstance(pq, list) and len(pq) == 2 and all(type(x) is int for x in pq)):
+            raise SystemExit2(f"--collection {args.collection}: expected a JSON list of"
+                              f" [p,q] integer pairs, got {json.dumps(pq)}")
     return IntervalCollection.of(args.n, [tuple(pq) for pq in pairs])
 
 

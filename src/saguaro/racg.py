@@ -9,17 +9,15 @@ all shortest representatives of an element form a single commutation class.
 Reduction pushes letters one at a time onto a reduced word; equality is one
 reduction of u v^-1; the canonical form is the lexicographically least
 linearization of an irreducible representative, found by Kahn's algorithm
-over its non-commutation DAG (the lexicographic normal form of a trace).
-Kahn's algorithm sees a DAG only through which nodes are sources, and a node
-is a source once all its ancestors are emitted, so any DAG with the same
-transitive closure gives the same output; the engine builds the transitive
-reduction, which skips the predecessors already known to be ancestors.
+over the transitive reduction of its non-commutation DAG (the lexicographic
+normal form of a trace).
 
 The concrete alphabet used throughout the package is the Gauss-diagram
 alphabet: a letter carries a set of strand labels, and two letters commute
-when their label sets are disjoint or nested, a test on two bit masks.
-Width-restricted diagram groups reuse the same engine with a
-disjointness-only predicate.
+when their label sets are disjoint or nested, a test on two bit masks.  The
+masks are an alphabet too: push_masks, push reduction with that test
+inlined, is the kernel of every cactus decision.  The generic functions
+serve GaussWords and, disjointness only, width-restricted diagram groups.
 """
 
 from __future__ import annotations
@@ -32,20 +30,13 @@ L = TypeVar("L")
 
 CommutationPredicate = Callable[[L, L], bool]
 
-_BIT = (1).__lshift__  # label x -> 2**x
-
-
-def label_mask(labels: Iterable[int]) -> int:
-    """The bit mask of a set of distinct labels: the sum of 2**x."""
-    return sum(map(_BIT, labels))
-
 
 @dataclasses.dataclass(frozen=True, order=True)
 class GaussLetter:
     """An involution named by a label set of size >= 2, stored sorted.
 
-    The same set is also kept as its label mask, which the commutation
-    predicates test; it takes no part in comparison, hashing or repr.
+    The same set is also kept as its label mask, the sum of 2**x, which the
+    commutation predicates test; it takes no part in comparison, hashing or repr.
 
     The order on letters is the tuple order on the sorted labels, so a letter
     precedes its own extensions: t{1,2} < t{1,2,3} < t{1,3}.
@@ -60,7 +51,7 @@ class GaussLetter:
     def __post_init__(self) -> None:
         labels = self.labels
         if (len(labels) < 2 or labels[0] < 0 or list(labels) != sorted(labels)
-                or (mask := label_mask(labels)).bit_count() != len(labels)):
+                or (mask := sum(1 << x for x in labels)).bit_count() != len(labels)):
             raise ValueError(f"labels must be >= 2 distinct sorted values: {labels!r}")
         object.__setattr__(self, "mask", mask)
 
@@ -131,6 +122,23 @@ def push_letter(out: list[L], letter: L, commute: CommutationPredicate) -> None:
         if not commute(out[i], letter):
             break
     out.append(letter)
+
+
+def push_masks(out: list[int], masks: Iterable[int]) -> list[int]:
+    """push_letter under masks_commute, inlined, for each mask in turn."""
+    for mask in masks:
+        for i in range(len(out) - 1, -1, -1):
+            other = out[i]
+            if other == mask:
+                del out[i]
+                break
+            common = other & mask
+            if common and common != other and common != mask:
+                out.append(mask)
+                break
+        else:
+            out.append(mask)
+    return out
 
 
 def reduce_letters(letters: Sequence[L], commute: CommutationPredicate) -> tuple[L, ...]:

@@ -70,9 +70,6 @@ class Transversal:
         images: Mapping[str, Permutation],
         involutive: frozenset[str] = frozenset(),
     ):
-        missing = [g for g in generators if g not in images]
-        if missing:
-            raise ValueError(f"no image given for generators {missing}")
         sizes = {images[g].n for g in generators}
         if len(sizes) > 1:
             raise ValueError(f"images act on different sets: {sorted(sizes)}")
@@ -206,6 +203,9 @@ def build_transversal(p: Presentation, images: Mapping[str, Permutation]) -> Tra
     >>> len(t)
     6
     """
+    missing = [g for g in p.generators if g not in images]
+    if missing:
+        raise ValueError(f"no image given for generators {missing}")
     for rel in p.relators:
         image = None
         for name, sign in rel:

@@ -12,8 +12,11 @@ greedy canonical form of Gauss words, equality by comparing canonical forms,
 and the width-i eraser with its own diagram loop.  Commutation is tested on
 label sets, not on the bit masks the package uses.  Also kept: the element
 order that probes every power up to the bound with a length-based pruning
-rule, the Tietze step that substitutes into every relator for every
-candidate, with the simplification loop, cleanup and descending-name
+rule, the element order that read m from a second walk and pushed all m
+powers, the reading that pushed integer strand labels one generic
+push_letter call at a time (and the decisions built on it), the SVG
+renderer that formatted float coordinates, the Tietze step that substitutes
+into every relator for every candidate, with the simplification loop, cleanup and descending-name
 tie-break wrapper around it, the dense textbook Smith normal form, the
 Kahn linearization that tests every pair of letters for an edge, the cactus
 canonical form whose key scans every position for a letter's strands, and
@@ -39,8 +42,9 @@ from saguaro.cactus import (  # noqa: F401
     CactusLetter,
     CactusWord,
     ReadResult,
-    _push_reading,
     exchange_left,
+    s_image,
+    walk,
     word,
 )
 from saguaro.perm import Permutation
@@ -389,6 +393,116 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
         elif len(reduced) > (bound - k) * step:
             return None
     return None
+
+
+_BIT = (1).__lshift__  # label x -> 2**x
+
+
+def label_mask(labels: Iterable[int]) -> int:
+    """The bit mask of a set of distinct labels: the sum of 2**x."""
+    return sum(map(_BIT, labels))
+
+
+def _push_reading(
+    letters: Iterable[CactusLetter], labels: list[int], reduced: list[int]
+) -> list[int]:
+    """Push the Gauss letters that `letters` read from the label state, as
+    label masks, onto a reduced word and return it."""
+    for _, block in walk(letters, labels):
+        racg.push_letter(reduced, label_mask(block), racg.masks_commute)
+    return reduced
+
+
+def label_reading(w: CactusWord) -> list[int]:
+    """The reduced reading of w, read with integer strand labels."""
+    return _push_reading(w.letters, list(range(1, w.n + 1)), [])
+
+
+def label_reduce(w: CactusWord) -> CactusWord:
+    return _scan_respell(w.n, label_reading(w), list(range(1, w.n + 1)))
+
+
+def label_equal(u: CactusWord, v: CactusWord) -> bool:
+    return not label_reading(u * v.inverse())
+
+
+def one_power_order(c: CactusWord, bound: int = 64) -> int | None:
+    """Smallest k <= bound with c^k trivial, or None if there is none: m,
+    the order of the strand permutation, if c^m is trivial."""
+    if bound < 1:
+        raise ValueError(f"need bound >= 1, got {bound}")
+    m = s_image(c).order()
+    if m > bound:
+        return None
+    labels = list(range(1, c.n + 1))
+    reduced: list[int] = []
+    for _ in range(m):
+        _push_reading(c.letters, labels, reduced)
+    return None if reduced else m
+
+
+TRACK = 24  # vertical distance between strand tracks
+COLUMN = 36  # horizontal advance per letter
+MARGIN = 12
+
+
+def _fmt(value: float) -> str:
+    return str(int(value)) if float(value).is_integer() else f"{value:.1f}"
+
+
+def render_svg(w: CactusWord, labels: bool = False) -> str:
+    """Render a word as SVG text; one polyline per strand.
+
+    With labels=True, strand numbers are printed at the left edge and the
+    label set of each crossing underneath its column.
+    """
+    width = 2 * MARGIN + COLUMN * len(w.letters)
+    height = 2 * MARGIN + TRACK * (w.n - 1) + (18 if labels and w.letters else 0)
+
+    def y(pos: int) -> int:
+        return MARGIN + TRACK * (pos - 1)
+
+    tracks = list(range(1, w.n + 1))  # tracks[pos - 1] = strand on that track
+    points: dict[int, list[tuple[float, float]]] = {
+        strand: [(0, y(strand))] for strand in tracks
+    }
+    crossing_texts = []
+    x = MARGIN
+    for letter, block in walk(w.letters, tracks):
+        meeting_y = (y(letter.p) + y(letter.q)) / 2
+        for pos, strand in enumerate(block, start=letter.p):
+            points[strand].append((x, y(pos)))
+            points[strand].append((x + COLUMN / 2, meeting_y))
+            points[strand].append((x + COLUMN, y(letter.p + letter.q - pos)))
+        if labels:
+            text = ",".join(str(s) for s in sorted(block))
+            crossing_texts.append((x + COLUMN / 2, height - 4, "{" + text + "}"))
+        x += COLUMN
+    for pos, strand in enumerate(tracks, start=1):
+        points[strand].append((width, y(pos)))
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
+        f' viewBox="0 0 {width} {height}">'
+    ]
+    for strand in range(1, w.n + 1):
+        path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in points[strand])
+        lines.append(
+            f'<polyline fill="none" stroke="black" stroke-width="2" points="{path}"/>'
+        )
+    if labels:
+        for strand in range(1, w.n + 1):
+            lines.append(
+                f'<text x="2" y="{y(strand) - 3}" font-family="monospace"'
+                f' font-size="9">{strand}</text>'
+            )
+        for tx, ty, text in crossing_texts:
+            lines.append(
+                f'<text x="{_fmt(tx)}" y="{_fmt(ty)}" font-family="monospace"'
+                f' font-size="9" text-anchor="middle">{text}</text>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 class _Descending:

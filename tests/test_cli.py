@@ -111,6 +111,20 @@ def test_member_bad_slice_names_the_option(capsys, bad):
     assert f"--slice needs two integers i,j, got {bad!r}" in err
 
 
+@pytest.mark.parametrize("text, entry", [
+    ("5", "5"),
+    ('[[1,"a"]]', '[1, "a"]'),
+    ("[[1,2],[3]]", "[3]"),
+    ("[[1,2]", "not JSON"),
+])
+def test_member_bad_collection_names_file_and_entry(tmp_path, capsys, text, entry):
+    collection = tmp_path / "c.json"
+    collection.write_text(text)
+    code, out, err = run(capsys, "member", "-n", "4", "s(1,2)", "--collection", str(collection))
+    assert code == 2 and out == ""
+    assert f"--collection {collection}: " in err and entry in err
+
+
 def test_erase_and_decompose(capsys):
     code, out, _ = run(capsys, "erase", "-n", "4", "s(1,2) s(1,3)", "--min-leaf", "3")
     assert code == 0 and out.strip() == "s(1,3)"
@@ -187,6 +201,16 @@ def test_rs_from_files(tmp_path, capsys):
     assert payload["cosets"] == 6
     assert payload["relators"] == []
     assert len(payload["generators"]) == 1
+
+
+def test_rs_images_missing_a_generator_names_it(tmp_path, capsys):
+    pres = tmp_path / "j3.txt"
+    pres.write_text("gens: s12 s13\nrels: s12^2\nrels: s13^2\n")
+    images = tmp_path / "images.txt"
+    images.write_text("s12: (2,1,3)\n")
+    code, out, err = run(capsys, "rs", "--presentation", str(pres), "--images", str(images))
+    assert code == 2 and out == ""
+    assert "no image given for generators ['s13']" in err
 
 
 def test_abel(tmp_path, capsys):

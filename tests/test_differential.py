@@ -7,7 +7,7 @@ import random
 
 import oracles
 import saguaro
-from saguaro import cactus, racg, sampling, subgroups
+from saguaro import cactus, racg, render, sampling, subgroups
 from saguaro.cactus import CactusLetter, word
 
 
@@ -101,7 +101,7 @@ def test_least_linearization_matches_all_pairs_kahn():
 def span_linearizations(w):
     """The canonical form of w, linearized by each implementation under the
     cactus key, the spelling of a mask under the running label state."""
-    reduced = cactus._push_reading(w.letters, list(range(1, w.n + 1)), [])
+    reduced = oracles.label_reading(w)
     out = []
     for impl in (racg.least_linearization, oracles.least_linearization):
         labels = list(range(1, w.n + 1))
@@ -213,6 +213,38 @@ def test_order_matches_bounded_probe():
         if cactus.order(w, bound) != oracles.order(w, bound)
     ]
     assert mismatches == []
+
+
+def test_mask_kernel_matches_integer_label_reading():
+    # Bit labels and racg.push_masks against integer labels pushed one generic
+    # push_letter call at a time; equal pairs come from relation moves.
+    rng = random.Random(44)
+    words = [long_word(rng, n, rng.choice((0, 1, 3, 10, 40, 200)))
+             for n in range(2, 25) for _ in range(6)]
+    words += [long_word(rng, n, 800) for n in (2, 3, 6, 12, 24)]
+    words += [cactus.torsion_witness(k) for k in range(1, 5)]
+    for w in words:
+        v = w
+        for _ in range(rng.randint(0, 6)):
+            v = sampling.random_move(v, rng)
+        other = long_word(rng, w.n, len(w))
+        assert cactus.is_trivial(w) == (not oracles.label_reading(w))
+        assert cactus.is_trivial(w * v.inverse())
+        for x in (v, other, w * w):
+            assert cactus.equal(w, x) == oracles.label_equal(w, x)
+        assert cactus.reduce(w) == oracles.label_reduce(w)
+        assert cactus.canonical(w) == oracles.scan_canonical(w)
+        for bound in (1, 2, 3, 8, 64):
+            assert cactus.order(w, bound) == oracles.one_power_order(w, bound)
+
+
+def test_integer_render_matches_float_render():
+    rng = random.Random(45)
+    words = [long_word(rng, n, rng.randint(0, 40)) for n in range(2, 25) for _ in range(10)]
+    words += [word(n, []) for n in (1, 2, 24)]
+    for w in words:
+        for labels in (False, True):
+            assert render.render_svg(w, labels) == oracles.render_svg(w, labels)
 
 
 def container_sizes():
