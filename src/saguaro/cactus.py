@@ -19,8 +19,7 @@ push the masks through racg.push_masks.
 from __future__ import annotations
 
 import dataclasses
-import operator
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from . import racg
 from .perm import Permutation
@@ -176,6 +175,14 @@ def _strands(mask: int) -> list[int]:
     return out
 
 
+def _span(strands: list[int], where: list[int]) -> tuple[int, int]:
+    """The block p..q that the strands occupy, strand s at position where[s]."""
+    positions = [where[s] for s in strands]
+    p, q = min(positions), max(positions)
+    assert q - p + 1 == len(strands), f"labels {strands} are not one block"
+    return p, q
+
+
 def _respell(n: int, masks: Iterable[int], where: list[int]) -> CactusWord:
     """Spell each Gauss letter, given by its label mask, as the interval its
     strands occupy, crossing it before the next is spelled.  where[s] is the
@@ -184,9 +191,7 @@ def _respell(n: int, masks: Iterable[int], where: list[int]) -> CactusWord:
     out = []
     for mask in masks:
         strands = _strands(mask)
-        positions = [where[s] for s in strands]
-        p, q = min(positions), max(positions)
-        assert q - p + 1 == len(strands), f"labels {mask:b} are not one block"
+        p, q = _span(strands, where)
         out.append(CactusLetter(p, q))
         for s in strands:
             where[s] = p + q - where[s]
@@ -223,12 +228,17 @@ def canonical(w: CactusWord) -> CactusWord:
     order) that exchange moves can bring to the front.
 
     A letter can reach the front exactly when its Gauss letter is a source of
-    the non-commutation DAG of the reduced reading, and there it is spelled
-    under the current label state; the sources have distinct spellings, so
-    the greedy choice is well defined and two words represent the same cactus
-    iff their canonical forms coincide letterwise.  The key reads a source's
-    spelling from the positions of its strands, which the re-spelling updates
-    as it crosses each letter: one lookup per strand, not a scan of all n.
+    the non-commutation DAG of the reduced reading (Kahn's algorithm over
+    racg.reduction_dag), and there it is spelled under the current label
+    state; the sources have distinct spellings, so the greedy choice is well
+    defined and two words represent the same cactus iff their canonical forms
+    coincide letterwise.  Each source's span is computed once, when it is
+    released, and each letter is built as it is emitted.  Emitting x with
+    span (p, q) mirrors x's strands in p..q and moves no other.  Sources are
+    joined by no edge, so they commute, and a remaining source y is disjoint
+    from x (its strands stay put), contains x (its positions are permuted
+    among themselves, its span kept) or is nested in x, when its span (a, b)
+    is reflected to (p + q - b, p + q - a).
 
     >>> str(canonical(word(4, [(3, 4), (1, 2)])))
     's(1,2) s(3,4)'
@@ -236,17 +246,28 @@ def canonical(w: CactusWord) -> CactusWord:
     's(1,4) s(1,2)'
     """
     reduced = _push_reading(w.letters, _bits(w.n), [])
+    successors, blockers = racg.reduction_dag(reduced, racg.masks_commute)
     where = list(range(w.n + 1))
-    readers: dict[int, Callable] = {}  # mask -> reader of its strands' positions
-
-    def span(mask: int) -> tuple[int, int]:
-        if mask not in readers:
-            readers[mask] = operator.itemgetter(*_strands(mask))
-        positions = readers[mask](where)
-        return min(positions), max(positions)
-
-    front = racg.least_linearization(reduced, racg.masks_commute, key=span)
-    return _respell(w.n, front, where)
+    strands = {mask: _strands(mask) for mask in set(reduced)}
+    spelled: dict[tuple[int, int], CactusLetter] = {}
+    sources = {j: _span(strands[reduced[j]], where)
+               for j, count in enumerate(blockers) if not count}
+    out = []
+    while sources:
+        best = min(sources, key=sources.__getitem__)
+        p, q = span = sources.pop(best)
+        x = reduced[best]
+        for j, (a, b) in sources.items():
+            if reduced[j] | x == x:
+                sources[j] = (p + q - b, p + q - a)
+        out.append(spelled.get(span) or spelled.setdefault(span, CactusLetter(p, q)))
+        for s in strands[x]:
+            where[s] = p + q - where[s]
+        for j in successors[best]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                sources[j] = _span(strands[reduced[j]], where)
+    return CactusWord(w.n, tuple(out))
 
 
 def equal(u: CactusWord, v: CactusWord) -> bool:

@@ -33,6 +33,14 @@ def _word_argument(parser: argparse.ArgumentParser, count: int = 1) -> None:
         parser.add_argument(name, help="cactus word, e.g. 's(1,2) s(2,4)'")
 
 
+def _parse_word(args: argparse.Namespace, name: str = "word") -> cactus.CactusWord:
+    """Parse the word argument `name`; an error in it names the argument."""
+    try:
+        return syntax.parse_cactus_word(getattr(args, name), args.n)
+    except ValueError as exc:
+        raise SystemExit2(f"{name}: {exc}") from None
+
+
 def _print_read_result(r: cactus.ReadResult, as_json: bool) -> None:
     if as_json:
         print(json.dumps({"gauss": [list(l.labels) for l in r.gauss.letters],
@@ -148,38 +156,40 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> int:
     if getattr(args, "n", 0) > MAX_STRANDS:
         raise SystemExit2(f"need n <= {MAX_STRANDS}, got {args.n}")
+    if getattr(args, "n", 2) < 2:
+        raise SystemExit2(f"need n >= 2, got {args.n}")
     if args.command == "canon":
-        w = cactus.canonical(syntax.parse_cactus_word(args.word, args.n))
+        w = cactus.canonical(_parse_word(args))
         if args.json:
             print(json.dumps({"word": [[l.p, l.q] for l in w.letters]}))
         else:
             print(syntax.format_cactus_word(w))
         return 0
     if args.command == "eq":
-        u = syntax.parse_cactus_word(args.word1, args.n)
-        v = syntax.parse_cactus_word(args.word2, args.n)
+        u = _parse_word(args, "word1")
+        v = _parse_word(args, "word2")
         return _decision(cactus.equal(u, v))
     if args.command == "order":
         if args.bound < 1:
-            raise SystemExit2("--bound must be >= 1")
-        got = cactus.order(syntax.parse_cactus_word(args.word, args.n), bound=args.bound)
+            raise SystemExit2(f"--bound must be >= 1, got {args.bound}")
+        got = cactus.order(_parse_word(args), bound=args.bound)
         print("absent" if got is None else got)
         return 0
     if args.command == "image":
-        r = cactus.read_diagram(syntax.parse_cactus_word(args.word, args.n))
+        r = cactus.read_diagram(_parse_word(args))
         _print_read_result(r, args.json)
         return 0
     if args.command == "pure":
-        return _decision(cactus.is_pure(syntax.parse_cactus_word(args.word, args.n)))
+        return _decision(cactus.is_pure(_parse_word(args)))
     if args.command == "member":
-        w = syntax.parse_cactus_word(args.word, args.n)
+        w = _parse_word(args)
         return _decision(subgroups.is_member(w, _load_collection(args)))
     if args.command == "erase":
-        w = syntax.parse_cactus_word(args.word, args.n)
+        w = _parse_word(args)
         print(syntax.format_cactus_word(subgroups.eraser_slice(args.min_leaf, w)))
         return 0
     if args.command == "decompose":
-        w = syntax.parse_cactus_word(args.word, args.n)
+        w = _parse_word(args)
         pieces = subgroups.kernel_decompose(args.min_leaf, w)
         if args.json:
             print(json.dumps([
@@ -206,7 +216,7 @@ def run(args: argparse.Namespace) -> int:
             print(f"{'ok  ' if ok else 'FAIL'} {name}")
         return 0 if report.passed else 1
     if args.command == "render":
-        w = syntax.parse_cactus_word(args.word, args.n)
+        w = _parse_word(args)
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(render_svg(w, labels=args.labels))
         return 0

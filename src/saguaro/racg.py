@@ -149,32 +149,20 @@ def reduce_letters(letters: Sequence[L], commute: CommutationPredicate) -> tuple
     return tuple(out)
 
 
-def least_linearization(
-    letters: Sequence[L], commute: CommutationPredicate, key: Callable[[L], object] | None = None
-) -> Iterator[L]:
-    """Yield a reduced word in the lexicographically least order, by key, that
-    its commutation class allows.
+def reduction_dag(
+    letters: Sequence[L], commute: CommutationPredicate
+) -> tuple[list[list[int]], list[int]]:
+    """The transitive reduction of the non-commutation DAG (i -> j for i < j
+    whose letters do not commute): each letter's successors, in increasing
+    index, and its number of predecessors.
 
-    Kahn's algorithm over the non-commutation DAG (i -> j for i < j whose
-    letters do not commute): each step emits the least source.  Sources
-    pairwise commute and, the word being reduced, are pairwise distinct, so
-    the choice is unambiguous.  The key is evaluated lazily, after the
-    consumer has handled the previous letter, so it may read state that the
-    consumer updates as it goes.
-
-    Only the transitive reduction of the DAG is built.  below[j] is the bit
-    set of j and its ancestors.  The candidate predecessors of j are walked
-    from the highest index down, and an edge i -> j clears every ancestor of
-    i from the candidates untested, since each of them precedes j already.
-    An ancestor of j that is no predecessor lies below a predecessor of
-    higher index, which the walk meets first, so the letters left to test
-    are exactly the predecessors and the non-ancestors.  A node is a source
-    exactly when all its ancestors have been emitted, so the reduction,
-    having the same reachability, yields the same source set at every step.
-    It yields them in the same order too: the last ancestor of j to be
-    emitted is a maximal one, an edge of both graphs, and each emitted node
-    releases its successors in increasing index.  So the output is that of
-    the full DAG for any predicate and key.
+    below[j] is the bit set of j and its ancestors.  The candidate
+    predecessors of j are walked from the highest index down, and an edge
+    i -> j clears every ancestor of i from the candidates untested, since
+    each of them precedes j already.  An ancestor of j that is no
+    predecessor lies below a predecessor of higher index, which the walk
+    meets first, so the letters left to test are exactly the predecessors
+    and the non-ancestors.
     """
     successors: list[list[int]] = [[] for _ in letters]
     blockers = [0] * len(letters)
@@ -192,6 +180,27 @@ def least_linearization(
                 candidates &= ~below[i]
                 ancestors |= below[i]
         below.append(ancestors)
+    return successors, blockers
+
+
+def least_linearization(
+    letters: Sequence[L], commute: CommutationPredicate, key: Callable[[L], object] | None = None
+) -> Iterator[L]:
+    """Yield a reduced word in the lexicographically least order, by key, that
+    its commutation class allows.
+
+    Kahn's algorithm over reduction_dag: each step emits the least source.
+    Sources pairwise commute and, the word being reduced, are pairwise
+    distinct, so the choice is unambiguous.  The key is evaluated lazily,
+    after the consumer has handled the previous letter, so it may read state
+    that the consumer updates as it goes.  A node is a source exactly when
+    all its ancestors have been emitted, and the last of them to be emitted
+    is a maximal one, an edge of the reduction; each emitted node releases
+    its successors in increasing index.  So the reduction, having the
+    reachability of the full DAG, yields the same sources in the same order
+    for any predicate and key.
+    """
+    successors, blockers = reduction_dag(letters, commute)
     sources = [j for j, count in enumerate(blockers) if not count]
     by_key = letters.__getitem__ if key is None else lambda j: key(letters[j])
     while sources:

@@ -16,6 +16,7 @@ the strand permutation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from collections.abc import Iterable
 
@@ -59,6 +60,11 @@ class IntervalCollection:
 
     def __len__(self) -> int:
         return len(self.intervals)
+
+    @functools.cached_property
+    def symmetric(self) -> bool:
+        """is_symmetric(self), evaluated once per collection."""
+        return is_symmetric(self)
 
 
 def reflect(inner: Interval, outer: Interval) -> Interval:
@@ -112,7 +118,7 @@ def is_member(w: CactusWord, c: IntervalCollection) -> bool:
     """
     if w.n != c.n:
         raise ValueError(f"size mismatch: word n={w.n}, collection n={c.n}")
-    if not is_symmetric(c):
+    if not c.symmetric:
         raise ValueError("membership test requires a symmetric collection")
     return all(letter in c for letter in cactus.canonical(w))
 

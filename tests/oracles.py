@@ -19,7 +19,9 @@ renderer that formatted float coordinates, the Tietze step that substitutes
 into every relator for every candidate, with the simplification loop, cleanup and descending-name
 tie-break wrapper around it, the dense textbook Smith normal form, the
 Kahn linearization that tests every pair of letters for an edge, the cactus
-canonical form whose key scans every position for a letter's strands, and
+canonical form whose key scans every position for a letter's strands, the
+one whose key reads those positions for every source at every Kahn step and
+spells the emitted letters in a second pass, and
 the indexed Tietze step, which rebuilds its occurrence index and re-costs
 every candidate at each step, with the loop around it and the name-keyed
 helpers it reads; and the Reidemeister-Schreier transversal, generator list
@@ -34,10 +36,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
-from saguaro import racg
+from saguaro import cactus, racg
 from saguaro.cactus import (  # noqa: F401
     CactusLetter,
     CactusWord,
@@ -338,6 +341,70 @@ def scan_canonical(w: CactusWord) -> CactusWord:
     labels = list(range(1, w.n + 1))
     front = racg.least_linearization(reduced, racg.masks_commute, key=lambda m: _scan_span(labels, m))
     return _scan_respell(w.n, front, labels)
+
+
+# The cactus canonical form as it was when least_linearization evaluated its
+# key, an itemgetter over the strand -> position list, for every source at
+# every Kahn step, and the emitted masks were spelled by a second pass; names
+# prefixed with key_, bodies verbatim.
+
+
+def _key_strands(mask: int) -> list[int]:
+    """The strands in a label mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _key_respell(n: int, masks: Iterable[int], where: list[int]) -> CactusWord:
+    """Spell each Gauss letter, given by its label mask, as the interval its
+    strands occupy, crossing it before the next is spelled.  where[s] is the
+    position of strand s; crossing a block p..q moves each of its strands to
+    the mirror position."""
+    out = []
+    for mask in masks:
+        strands = _key_strands(mask)
+        positions = [where[s] for s in strands]
+        p, q = min(positions), max(positions)
+        assert q - p + 1 == len(strands), f"labels {mask:b} are not one block"
+        out.append(CactusLetter(p, q))
+        for s in strands:
+            where[s] = p + q - where[s]
+    return CactusWord(n, tuple(out))
+
+
+def key_canonical(w: CactusWord) -> CactusWord:
+    """Canonical representative: greedily emit the least letter (in (p, q)
+    order) that exchange moves can bring to the front.
+
+    A letter can reach the front exactly when its Gauss letter is a source of
+    the non-commutation DAG of the reduced reading, and there it is spelled
+    under the current label state; the sources have distinct spellings, so
+    the greedy choice is well defined and two words represent the same cactus
+    iff their canonical forms coincide letterwise.  The key reads a source's
+    spelling from the positions of its strands, which the re-spelling updates
+    as it crosses each letter: one lookup per strand, not a scan of all n.
+
+    >>> str(key_canonical(word(4, [(3, 4), (1, 2)])))
+    's(1,2) s(3,4)'
+    >>> str(key_canonical(word(4, [(1, 4), (1, 2)])))
+    's(1,4) s(1,2)'
+    """
+    reduced = cactus._push_reading(w.letters, cactus._bits(w.n), [])
+    where = list(range(w.n + 1))
+    readers: dict[int, Callable] = {}  # mask -> reader of its strands' positions
+
+    def span(mask: int) -> tuple[int, int]:
+        if mask not in readers:
+            readers[mask] = operator.itemgetter(*_key_strands(mask))
+        positions = readers[mask](where)
+        return min(positions), max(positions)
+
+    front = racg.least_linearization(reduced, racg.masks_commute, key=span)
+    return _key_respell(w.n, front, where)
 
 
 def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:

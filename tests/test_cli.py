@@ -247,3 +247,27 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "position" in err
     code, _, err = run(capsys, "canon", "-n", "2", "s(1,3)")
     assert code == 2 and "out of bounds" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["canon", "-n", "4", "s(1,2) nonsense"], "word"),
+    (["member", "-n", "2", "s(1,3)", "--slice", "2,2"], "word"),
+    (["eq", "-n", "4", "s(1,2,3)", "s(1,2)"], "word1"),
+    (["eq", "-n", "4", "s(1,2)", "s(1,2,3)"], "word2"),
+])
+def test_word_errors_name_the_argument(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name}: ")
+
+
+def test_small_n_is_not_blamed_on_the_word(capsys):
+    code, out, err = run(capsys, "canon", "-n", "1", "s(1,2)")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: need n >= 2, got 1"
+
+
+def test_order_bound_zero_names_the_value(capsys):
+    code, out, err = run(capsys, "order", "-n", "4", "s(1,2)", "--bound", "0")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: --bound must be >= 1, got 0"

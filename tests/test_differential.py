@@ -129,6 +129,52 @@ def test_canonical_matches_the_scanning_key():
     for w in words:
         assert cactus.canonical(w) == oracles.scan_canonical(w)
 
+
+def structured_words():
+    """Words whose canonical forms reflect nested sources: towers of nested
+    letters, the torsion witnesses and their powers, and chains."""
+    for n in (4, 5, 8, 13, 24):
+        tower = word(n, [(1, k) for k in range(n, 1, -1)])
+        centred = word(n, [(k, n + 1 - k) for k in range(1, n // 2 + 1)])
+        yield from (tower, tower.inverse(), tower * tower, centred, centred.inverse() * tower)
+        yield word(n, [(1, n), (2, n - 1)] * n)
+        yield word(n, [(p, p + 1) for p in range(1, n)] * 3)
+        yield word(n, [(p, min(p + 2, n)) for p in range(1, n)] * 3)
+    for k in range(1, 5):
+        c = cactus.torsion_witness(k)
+        yield from (c, c.power(3), c.power(2 ** k - 1), c * c.inverse().power(2))
+
+
+def test_canonical_matches_key_canonical():
+    # One Kahn pass with spans kept per source against the lazy key
+    # re-evaluated for every source at every step and a second spelling pass.
+    rng = random.Random(47)
+    words = [long_word(rng, n, rng.choice((1, 5, 20, 80, 300)))
+             for n in range(2, 25) for _ in range(10)]
+    words += [long_word(rng, n, 2000) for n in (2, 5, 12, 24)]
+    words += list(structured_words())
+    for w in words:
+        assert cactus.canonical(w) == oracles.key_canonical(w)
+
+
+def test_canonical_computes_each_span_once(monkeypatch):
+    calls = []
+
+    def counted(strands, where):
+        calls.append(None)
+        return original(strands, where)
+
+    original = cactus._span
+    monkeypatch.setattr(cactus, "_span", counted)
+    rng = random.Random(48)
+    words = [long_word(rng, n, length) for n in (4, 12, 24) for length in (10, 200)]
+    for w in words + list(structured_words()):
+        calls.clear()
+        reference = oracles.key_canonical(w)
+        assert cactus.canonical(w) == reference
+        assert len(calls) == len(reference)
+
+
 def test_least_linearization_matches_all_pairs_kahn_on_structured_words():
     tau = racg.tau
     disjoint = [tau(2 * k + 1, 2 * k + 2) for k in range(12)]

@@ -52,6 +52,27 @@ def test_is_member_requires_symmetric():
         subgroups.is_member(word(4, [(1, 2)]), IntervalCollection.of(4, [(1, 2), (1, 4)]))
 
 
+def test_is_member_checks_symmetry_once_per_collection(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    original = subgroups.is_symmetric
+    monkeypatch.setattr(subgroups, "is_symmetric", counted)
+    c = IntervalCollection.slice(6, 2, 2)
+    rng = random.Random(46)
+    for _ in range(100):
+        subgroups.is_member(sampling.random_word(6, 6, rng), c)
+    assert len(calls) == 1
+    bad = IntervalCollection.of(4, [(1, 2), (1, 4)])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="symmetric"):
+            subgroups.is_member(word(4, [(1, 2)]), bad)
+    assert len(calls) == 2
+
+
 def test_eraser_slice_examples():
     assert subgroups.eraser_slice(3, word(4, [(1, 2)])).letters == ()
     assert subgroups.eraser_slice(3, word(4, [(1, 2), (1, 3)])).letters == (
