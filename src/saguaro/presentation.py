@@ -9,15 +9,13 @@ Relator words live in a free group: letters are (generator, +-1) pairs and no
 involutivity is assumed.
 
 Both simplifications are sized for Reidemeister-Schreier output, hundreds to
-thousands of short relators.  Tietze simplification is one greedy
-elimination loop over state kept between its steps, as in Havas, Kenne,
-Richardson and Robertson, A Tietze transformation program (1984): relators
-as signed generator indices, their class keys, the occurrence index and the
-cost of every candidate, each recomputed only where a step rewrote or
-dropped a relator (tietze_simplify says why every step is still the one a
-search from scratch would take).  The Smith normal form takes the exponent
-sums as sparse rows built straight from the relators, removes unit pivots
-first and leaves only a small remainder to the dense textbook algorithm.
+thousands of short relators.  Tietze simplification is one greedy loop over
+state kept between its steps (Havas, Kenne, Richardson and Robertson, A
+Tietze transformation program, 1984) that costs a candidate exactly only
+when a lower bound puts it first (Minoux, Accelerated greedy algorithms,
+1978).  The Smith normal form takes sparse exponent rows built straight
+from the relators, removes unit pivots first and leaves only a small
+remainder to the dense textbook algorithm.
 """
 
 from __future__ import annotations
@@ -122,10 +120,11 @@ def _substitute(w: IndexWord, g: int, replacement: IndexWord, inverse: IndexWord
 
 
 def _class_key(w: IndexWord) -> IndexWord:
-    """Least rotation of the relator or its inverse; relators equal up to
-    cyclic rotation and inversion share one key."""
+    """Least rotation of w or its inverse, shared by its class up to rotation
+    and inversion; it starts with their least letter, so only those are built."""
     inverse = tuple(-x for x in reversed(w))
-    return min(base[k:] + base[:k] for base in (w, inverse) for k in range(len(base)))
+    least = min(min(w), -max(w))
+    return min(b[k:] + b[:k] for b in (w, inverse) for k, x in enumerate(b) if x == least)
 
 
 def _solution(rel: IndexWord, pos: int) -> tuple[IndexWord, IndexWord]:
@@ -137,22 +136,53 @@ def _solution(rel: IndexWord, pos: int) -> tuple[IndexWord, IndexWord]:
     return (inverse, word) if rel[pos] > 0 else (word, inverse)
 
 
+def _joined(w: IndexWord, i: int, spelled: IndexWord) -> int | None:
+    """The length change of w when w[i], once in it, is replaced by the
+    reduced word spelled (see _Tietze); None when the joins use up a piece."""
+    n = len(w)
+    if not spelled:
+        k = 0
+        while 2 * k + 2 < n and w[(i + 1 + k) % n] == -w[(i - 1 - k) % n]:
+            k += 1
+        return -1 - 2 * k
+    limit = min(len(spelled), n - 1)
+    k1 = k2 = 0
+    while k1 < limit and spelled[-1 - k1] == -w[(i + 1 + k1) % n]:
+        k1 += 1
+    while k1 + k2 < limit and spelled[k2] == -w[(i - 1 - k2) % n]:
+        k2 += 1
+    return None if k1 + k2 == limit else len(spelled) - 1 - 2 * (k1 + k2)
+
+
 class _Tietze:
     """The state of one greedy elimination loop, kept between its steps.
 
     Relators are index words under ids that follow their position, cyclically
-    reduced, one per class up to rotation and inversion.  Besides them the
-    loop keeps each relator's class key, the occurrence index (generator ->
-    ids of the relators containing it) and every candidate, a (pivot
-    relator, generator) pair with the generator occurring once in the pivot.
-    A candidate's total is the presentation length after it is applied.  A
-    relator lacking the generator is unchanged by it, so the total is the
-    pivot's length removed plus the length change of each indexed relator,
-    and each candidate keeps those changes.  After a step, the relators it
-    rewrote or dropped are the only ones whose changes are computed again,
-    for the candidates of the generators they contained; a rewritten pivot
-    is costed afresh.  The keys live in a heap whose outdated entries are
-    skipped when they surface.
+    reduced, one per class up to rotation and inversion, with their class
+    keys and the occurrence index.  A candidate is a pivot relator, of length
+    l, and a generator g once in it; its total, the length change it makes,
+    is -l plus the change of each other relator holding g.
+
+    The neighbour argument.  Read a relator w of length n >= 2 holding g once
+    as the cyclic word g C, g with exponent +1: C is reduced, and g's left
+    and right neighbours are its last and first letters.  Read the pivot as
+    g X: g is spelled S = X^-1, reduced, from the inverse of the pivot's left
+    neighbour to that of its right one.  The cyclic word S C cancels at a
+    join only if w shares its left or its right neighbour with the pivot;
+    otherwise w changes by exactly l - 2.  If the joins cancel k1 and k2
+    letters and leave some of S and C, the change is l - 2 - 2 (k1 + k2); if
+    l = 1, C stays alone, its ends cancel in k pairs, never to nothing, and
+    the change is -1 - 2k (_joined).  Any change is at least -n.
+
+    So _count tallies the relators holding g once by left neighbour, right
+    neighbour and both, with their lengths.  Three lookups give a
+    candidate's number of relators that cannot cancel and, with -n for each
+    other relator, a lower bound of its total, exact if there is no other.
+    Heap keys are (total or bound, l, -name rank, pivot id, position of g in
+    the pivot, whether a bound, g, stamp).  A bound on top is replaced by the
+    exact total (_exact); bound <= exact, so the first exact key on top is
+    the least candidate.  A step counts again each generator of a relator it
+    rewrote or dropped; keys stamped earlier are stale.
     """
 
     def __init__(self, p: Presentation):
@@ -165,17 +195,19 @@ class _Tietze:
         self.keys: dict[int, IndexWord] = {}
         self.owner: dict[IndexWord, int] = {}  # class key -> id of its relator
         self.occurs: dict[int, set[int]] = {g: set() for g in range(1, len(natural) + 1)}
-        # generator -> pivot id -> (key, {relator id: its length change})
-        self.costs: dict[int, dict[int, tuple[tuple, dict[int, int]]]] = {}
-        self.heap: list[tuple[tuple, int]] = []
+        # generator -> (step of its last count, {id of a relator holding it
+        # once: (length, position, neighbours)}, ids of the other relators)
+        self.reads: dict[int, tuple[int, dict[int, tuple[int, ...]], list[int]]] = {}
+        self.clock = self.live = 0  # steps taken, candidates
+        self.heap: list[tuple] = []
         index = {name: g for g, name in enumerate(p.generators, start=1)}
         for rid, rel in enumerate(p.relators):
             w = tuple(index[name] * sign for name, sign in cyclic_reduce(rel))
             key = _class_key(w) if w else None
             if w and key not in self.owner:
                 self._add(rid, w, key)
-        for g, ids in self.occurs.items():
-            self._cost(g, ids)
+        for g in self.occurs:
+            self._count(g)
 
     def _add(self, rid: int, w: IndexWord, key: IndexWord) -> None:
         self.relators[rid] = w
@@ -191,104 +223,88 @@ class _Tietze:
             self.occurs[g].discard(rid)
         return w
 
-    def _cost(self, g: int, changed: set[int]) -> None:
-        """Key every candidate elimination of g: (total less the current
-        length, pivot length, -name rank, pivot id, position of g in the
-        pivot).  changed holds the ids of the relators containing g that were
-        rewritten or dropped since g was last costed; only they are
-        substituted into again, and only they can gain or lose a candidate."""
-        old = self.costs.get(g, {})
-        costs = {}
-        occurs = self.occurs[g]
-        redo = [rj for rj in changed if rj in occurs]
-        for rid, (key, deltas) in old.items():
-            if rid in changed:
+    def _count(self, g: int) -> None:
+        """Read and tally the relators holding g; push a key for each
+        candidate elimination of g."""
+        once: dict[int, tuple[int, ...]] = {}
+        others = []
+        left, right, pair = {}, {}, {}  # neighbour(s) -> (relators, their length)
+        plain = plain_length = rest = 0  # rest: length of the other relators
+        for rid in self.occurs[g]:
+            w = self.relators[rid]
+            n = len(w)
+            if w.count(g) + w.count(-g) != 1:
+                others.append(rid)
+                rest += n
                 continue
-            total = key[0] - sum(deltas.pop(rj, 0) for rj in changed)
-            if redo:
-                replacement, inverse = _solution(self.relators[rid], key[4])
-                total += self._deltas(g, replacement, inverse, redo, deltas)
-            costs[rid] = ((total, *key[1:]), deltas)
-            if total != key[0]:
-                heapq.heappush(self.heap, (costs[rid][0], g))
-        for rid in redo:
-            rel = self.relators[rid]
-            if rel.count(g) + rel.count(-g) != 1:
+            if g in w:
+                i = w.index(g)
+                a, b = w[i - 1], w[(i + 1) % n]
+            else:
+                i = w.index(-g)
+                a, b = -w[(i + 1) % n], -w[i - 1]
+            once[rid] = (n, i, a, b)
+            if n == 1:
+                rest += 1
                 continue
-            pos = rel.index(g) if g in rel else rel.index(-g)
-            replacement, inverse = _solution(rel, pos)
-            deltas = {}
-            others = [rj for rj in occurs if rj != rid]
-            total = self._deltas(g, replacement, inverse, others, deltas) - len(rel)
-            key = (total, len(rel), -self.rank[g], rid, pos)
-            costs[rid] = (key, deltas)
-            heapq.heappush(self.heap, (key, g))
-        if costs:
-            self.costs[g] = costs
-        else:
-            self.costs.pop(g, None)
+            plain, plain_length = plain + 1, plain_length + n
+            for tally, key in ((left, a), (right, b), (pair, (a, b))):
+                count, length = tally.get(key, (0, 0))
+                tally[key] = (count + 1, length + n)
+        stamp, rank = self.clock, -self.rank[g]
+        for rid, (n, i, a, b) in once.items():
+            if n == 1:
+                fast, cancel = 0, plain_length + rest - 1
+            else:
+                (c1, s1), (c2, s2), (c3, s3) = left[a], right[b], pair[a, b]
+                fast, cancel = plain - c1 - c2 + c3, s1 + s2 - s3 - n + rest
+            bound = fast * (n - 2) - n - cancel
+            heapq.heappush(self.heap, (bound, n, rank, rid, i, cancel > 0, g, stamp))
+        self.live += len(once) - len(self.reads.get(g, (0, {}))[1])
+        self.reads[g] = (stamp, once, others)
 
-    def _deltas(self, g, replacement, inverse, ids, deltas: dict[int, int]) -> int:
-        """Record in deltas the length change of each relator in ids when g
-        is substituted away; return their sum.
-
-        The common case needs no substitution.  Say g^e occurs once in a
-        relator w of length >= 2, at position i, and its spelling S is not
-        empty.  w with S in place of w[i] is A S B, where A = w[:i] and
-        B = w[i + 1:].  A, B and S are reduced: the first two are subwords
-        of the cyclically reduced w, and S or its inverse is a cyclic
-        subword of the cyclically reduced pivot.  If w[i - 1] (cyclically) does not cancel
-        against S[0], nor S[-1] against w[i + 1], then both joins are
-        reduced, and so are the cyclic ends: they are those of w when i is
-        inside w, and one of the two joins when i is at an end.  So A S B is
-        _substitute's result, and the change is len(S) - 1.  Every other
-        case is substituted.
-        """
-        total = 0
-        size = len(replacement)
-        for rj in ids:
-            other = self.relators[rj]
-            n = len(other)
-            delta = None
-            if size and n >= 2 and other.count(g) + other.count(-g) == 1:
-                i = other.index(g) if g in other else other.index(-g)
-                spelled = replacement if other[i] == g else inverse
-                if other[i - 1] != -spelled[0] and spelled[-1] != -other[(i + 1) % n]:
-                    delta = size - 1
-            if delta is None:
-                delta = len(_substitute(other, g, replacement, inverse)) - n
-            deltas[rj] = delta
-            total += delta
+    def _exact(self, g: int, rid: int) -> int:
+        """The total of eliminating g by the pivot rid."""
+        _, once, others = self.reads[g]
+        size, pos, a, b = once[rid]
+        replacement, inverse = _solution(self.relators[rid], pos)
+        total = -size
+        for rj in others:
+            w = self.relators[rj]
+            total += len(_substitute(w, g, replacement, inverse)) - len(w)
+        for rj, (n, i, left, right) in once.items():
+            if rj == rid:
+                continue
+            if n > 1 and size > 1 and left != a and right != b:
+                total += size - 2
+                continue
+            w = self.relators[rj]
+            change = _joined(w, i, replacement if w[i] > 0 else inverse)
+            total += len(_substitute(w, g, replacement, inverse)) - n if change is None else change
         return total
-
-    def _live(self, key: tuple, g: int) -> bool:
-        """Whether a heap entry is the current key of its candidate."""
-        entry = self.costs.get(g, {}).get(key[3])
-        return entry is not None and entry[0] == key
 
     def step(self) -> bool:
         """Apply the least candidate; False when there is none."""
         heap = self.heap
-        while heap and not self._live(*heap[0]):
-            heapq.heappop(heap)
-        if not heap:
+        while self.live:
+            total, size, rank, rid, pos, is_bound, g, stamp = heapq.heappop(heap)
+            if self.reads.get(g, (None,))[0] != stamp:
+                continue
+            if not is_bound:
+                break
+            heapq.heappush(heap, (self._exact(g, rid), size, rank, rid, pos, False, g, stamp))
+        else:
             return False
-        (_, _, _, rid, pos), g = heapq.heappop(heap)
-        # generator -> ids of the relators containing it that change
-        changed: dict[int, set[int]] = {}
-
-        def touch(rj: int, w: IndexWord) -> None:
-            for x in w:
-                changed.setdefault(abs(x), set()).add(rj)
-
+        self.clock += 1
         pivot = self._drop(rid)
-        touch(rid, pivot)
+        touched = set(map(abs, pivot))
         replacement, inverse = _solution(pivot, pos)
         rewritten = sorted(self.occurs[g])
         olds = [self._drop(rj) for rj in rewritten]
-        del self.occurs[g], self.costs[g]
+        del self.occurs[g]
+        self.live -= len(self.reads.pop(g)[1])
         for rj, old in zip(rewritten, olds):
-            touch(rj, old)
+            touched.update(map(abs, old))  # new holds no other generator
             new = _substitute(old, g, replacement, inverse)
             if not new:
                 continue
@@ -297,12 +313,14 @@ class _Tietze:
             if holder is not None and holder < rj:
                 continue
             if holder is not None:
-                touch(holder, self._drop(holder))
+                touched.update(map(abs, self._drop(holder)))
             self._add(rj, new, key)
-            touch(rj, new)
-        del changed[g]
-        for h, ids in changed.items():
-            self._cost(h, ids)
+        touched.discard(g)
+        for h in touched:
+            self._count(h)
+        if len(heap) > 2 * self.live + 64:  # mostly stale keys: keep the live ones
+            self.heap = [e for e in heap if self.reads.get(e[6], (None,))[0] == e[7]]
+            heapq.heapify(self.heap)
         return True
 
     def presentation(self) -> Presentation:
@@ -326,10 +344,7 @@ def tietze_step(p: Presentation) -> Presentation | None:
     then the earliest relator, then the generator earliest in it.  The input
     is cleaned up (cyclic reduction, duplicate relators up to rotation and
     inversion dropped, the first of each class kept) before searching, and so
-    is the result.
-
-    This builds the state of tietze_simplify's loop from p and takes one
-    step of it, so both share one code path.
+    is the result.  This is one step of tietze_simplify's loop.
     """
     state = _Tietze(p)
     return state.presentation() if state.step() else None
@@ -347,11 +362,9 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPresentati
 
     Only removals are performed (no generator additions), so the process
     terminates; the resulting presentation defines the same group.  Each
-    step is tietze_step's, taken on state that persists between steps: the
-    relators as index words, their class keys, the occurrence index and the
-    candidate keys, which a step re-costs only where it rewrote or dropped a
-    relator.  A rewritten relator keeps its id, so ids stay in position order
-    and the tie-break key, which ends with the pivot's id and the
+    step is tietze_step's, taken on state that persists between steps
+    (_Tietze).  A rewritten relator keeps its id, so ids stay in position
+    order and the tie-break key, which ends with the pivot's id and the
     generator's position in it, picks what a fresh search of the same
     presentation picks: every step, and the result, is that of tietze_step
     applied repeatedly.
@@ -363,11 +376,10 @@ def tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPresentati
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
-    state = _Tietze(p)
-    steps = 0
+    state, steps = _Tietze(p), 0
     while steps < budget and state.step():
         steps += 1
-    exhausted = steps == budget and bool(state.costs)
+    exhausted = steps == budget and state.live > 0
     return SimplifiedPresentation(state.presentation(), steps, exhausted)
 
 
@@ -558,20 +570,8 @@ _J4 = Presentation(
 
 _PJ4_TARGET = Presentation(
     ("alpha", "beta", "gamma", "delta", "epsilon"),
-    (
-        (
-            ("alpha", 1),
-            ("gamma", 1),
-            ("epsilon", 1),
-            ("beta", 1),
-            ("epsilon", 1),
-            ("alpha", -1),
-            ("delta", -1),
-            ("beta", 1),
-            ("gamma", 1),
-            ("delta", -1),
-        ),
-    ),
+    ((("alpha", 1), ("gamma", 1), ("epsilon", 1), ("beta", 1), ("epsilon", 1),
+      ("alpha", -1), ("delta", -1), ("beta", 1), ("gamma", 1), ("delta", -1)),),
 )
 
 _BUILTINS = {"J3": _J3, "J4": _J4, "PJ4_target": _PJ4_TARGET}

@@ -50,6 +50,12 @@ from .presentation import (
 )
 
 
+# Most cosets a transversal may have.  The search stops with an error naming
+# it before the tables grow past it; PJ7 (5,040 cosets) and the symmetric
+# group S_8 (40,320) fit.
+MAX_COSETS = 50_000
+
+
 class Transversal:
     """Schreier transversal of the kernel of a finite-image homomorphism.
 
@@ -91,6 +97,8 @@ class Transversal:
                 target = tuple(map(table.__getitem__, perm))
                 t = index.setdefault(target, len(perms))
                 if t == len(perms):
+                    if t == MAX_COSETS:
+                        raise ValueError(f"more than MAX_COSETS = {MAX_COSETS} cosets")
                     perms.append(target)
                     self.reps.append(self.reps[k] + ((g, 1),))
                 row.append(t)

@@ -7,8 +7,9 @@ Gauss words:    term*            term := t{a,b,...}
 Presentations:  chunks separated by newlines or ';', '#' starts a comment.
                 "gens:" followed by identifiers declares the generators;
                 each "rels:" chunk contributes relators.  A relator is a
-                sequence of ident[^exp] terms; an '=' chain "u = v = 1" adds
-                the relators u, v (a side equal to "1" is the empty word).
+                sequence of ident[^exp] terms, |exp| <= MAX_EXPONENT; an '='
+                chain "u = v = 1" adds the relators u, v (a side equal to
+                "1" is the empty word).
 
 All generators of cactus and Gauss words are involutions, so exponents there
 are normalized modulo 2 at parse time.  Presentation relators live in a free
@@ -109,6 +110,10 @@ def format_gauss_word(w: GaussWord) -> str:
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9.]*")
 _REL_TERM = re.compile(r"([A-Za-z_][A-Za-z_0-9.]*)(?:\^(-?\d+))?|1")
 
+# Largest |e| of a presentation term x^e: the term becomes |e| letters, so a
+# larger one is refused before anything is allocated for it.
+MAX_EXPONENT = 10_000
+
 
 def _parse_relator_side(text: str, generators: set[str], offset: int) -> SignedWord:
     letters: list[tuple[str, int]] = []
@@ -118,7 +123,13 @@ def _parse_relator_side(text: str, generators: set[str], offset: int) -> SignedW
         name = m.group(1)
         if name not in generators:
             raise WordSyntaxError(f"unknown generator {name!r}", offset + pos)
-        exponent = 1 if m.group(2) is None else int(m.group(2))
+        digits = m.group(2) or "1"
+        magnitude = digits.lstrip("-").lstrip("0")
+        if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude or 0) > MAX_EXPONENT:
+            raise WordSyntaxError(
+                f"exponent of {m.group(0)!r} exceeds {MAX_EXPONENT} in absolute value", offset + pos
+            )
+        exponent = int(digits)
         sign = 1 if exponent >= 0 else -1
         letters.extend([(name, sign)] * abs(exponent))
     return tuple(letters)
@@ -153,10 +164,10 @@ def parse_presentation(text: str) -> Presentation:
                     raise WordSyntaxError(f"bad generator name {name!r}", indent)
                 generators.append(name)
         elif body.startswith("rels:"):
-            rhs = body[len("rels:") :]
-            sides = [
-                _parse_relator_side(side, set(generators), indent) for side in rhs.split("=")
-            ]
+            start, sides = indent + len("rels:"), []
+            for side in body[len("rels:") :].split("="):
+                sides.append(_parse_relator_side(side, set(generators), start))
+                start += len(side) + 1
             if len(sides) == 1:
                 relators.append(free_reduce(sides[0]))
             else:

@@ -24,8 +24,10 @@ one whose key reads those positions for every source at every Kahn step and
 spells the emitted letters in a second pass, and
 the indexed Tietze step, which rebuilds its occurrence index and re-costs
 every candidate at each step, with the loop around it and the name-keyed
-helpers it reads; and the Reidemeister-Schreier transversal, generator list
-and rewriting that walked dicts keyed by generator name.
+helpers it reads; the stateful Tietze loop that kept every candidate's
+per-relator length changes, with the class key that built every rotation;
+and the Reidemeister-Schreier transversal, generator list and rewriting that
+walked dicts keyed by generator name.
 
 The last part holds helpers that only tests use: the cancellable pairs and
 letter multiset of a Gauss word, and the matcher of one-relator
@@ -34,6 +36,7 @@ presentations up to renaming, rotation and inversion.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -52,6 +55,7 @@ from saguaro.cactus import (  # noqa: F401
 )
 from saguaro.perm import Permutation
 from saguaro.presentation import (
+    IndexWord,
     Presentation,
     SignedWord,
     SimplifiedPresentation,
@@ -832,6 +836,243 @@ def indexed_tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPr
         current = _indexed_cleanup(p)
     exhausted = steps == budget and next(_solvable(current), None) is not None
     return SimplifiedPresentation(current, steps, exhausted)
+
+
+# The stateful Tietze loop as it was when every candidate kept the length
+# change of each relator it rewrites, subtracted and re-costed after every
+# step, and the class key built every rotation; names prefixed with costed_
+# or Costed, bodies verbatim.
+
+
+def _costed_substitute(w: IndexWord, g: int, replacement: IndexWord, inverse: IndexWord) -> IndexWord:
+    """w with g spelled as replacement and -g as inverse, cyclically reduced."""
+    out: list[int] = []
+    for x in w:
+        if x == g:
+            spelled = replacement
+        elif x == -g:
+            spelled = inverse
+        elif out and out[-1] == -x:
+            out.pop()
+            continue
+        else:
+            out.append(x)
+            continue
+        for y in spelled:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i] == -out[j - 1]:
+        i, j = i + 1, j - 1
+    return tuple(out[i:j])
+
+
+def costed_class_key(w: IndexWord) -> IndexWord:
+    """Least rotation of the relator or its inverse; relators equal up to
+    cyclic rotation and inversion share one key."""
+    inverse = tuple(-x for x in reversed(w))
+    return min(base[k:] + base[:k] for base in (w, inverse) for k in range(len(base)))
+
+
+def _costed_solution(rel: IndexWord, pos: int) -> tuple[IndexWord, IndexWord]:
+    """The words that the generator at rel[pos], occurring once in the
+    cyclically reduced relator rel, and its inverse equal by it.  The rest of
+    rel read from pos + 1 is a cyclic subword, so it is already reduced."""
+    word = rel[pos + 1 :] + rel[:pos]
+    inverse = tuple(-x for x in reversed(word))
+    return (inverse, word) if rel[pos] > 0 else (word, inverse)
+
+
+class CostedTietze:
+    """The state of one greedy elimination loop, kept between its steps.
+
+    Relators are index words under ids that follow their position, cyclically
+    reduced, one per class up to rotation and inversion.  Besides them the
+    loop keeps each relator's class key, the occurrence index (generator ->
+    ids of the relators containing it) and every candidate, a (pivot
+    relator, generator) pair with the generator occurring once in the pivot.
+    A candidate's total is the presentation length after it is applied.  A
+    relator lacking the generator is unchanged by it, so the total is the
+    pivot's length removed plus the length change of each indexed relator,
+    and each candidate keeps those changes.  After a step, the relators it
+    rewrote or dropped are the only ones whose changes are computed again,
+    for the candidates of the generators they contained; a rewritten pivot
+    is costed afresh.  The keys live in a heap whose outdated entries are
+    skipped when they surface.
+    """
+
+    def __init__(self, p: Presentation):
+        self.names = p.generators
+        natural = [_natural_key(name) for name in p.generators]
+        order = {key: r for r, key in enumerate(sorted(set(natural)))}
+        # rank[g]: the place of generator g in name order, equal names tied
+        self.rank = [0] + [order[key] for key in natural]
+        self.relators: dict[int, IndexWord] = {}
+        self.keys: dict[int, IndexWord] = {}
+        self.owner: dict[IndexWord, int] = {}  # class key -> id of its relator
+        self.occurs: dict[int, set[int]] = {g: set() for g in range(1, len(natural) + 1)}
+        # generator -> pivot id -> (key, {relator id: its length change})
+        self.costs: dict[int, dict[int, tuple[tuple, dict[int, int]]]] = {}
+        self.heap: list[tuple[tuple, int]] = []
+        index = {name: g for g, name in enumerate(p.generators, start=1)}
+        for rid, rel in enumerate(p.relators):
+            w = tuple(index[name] * sign for name, sign in cyclic_reduce(rel))
+            key = costed_class_key(w) if w else None
+            if w and key not in self.owner:
+                self._add(rid, w, key)
+        for g, ids in self.occurs.items():
+            self._cost(g, ids)
+
+    def _add(self, rid: int, w: IndexWord, key: IndexWord) -> None:
+        self.relators[rid] = w
+        self.keys[rid] = key
+        self.owner[key] = rid
+        for g in set(map(abs, w)):
+            self.occurs[g].add(rid)
+
+    def _drop(self, rid: int) -> IndexWord:
+        w = self.relators.pop(rid)
+        del self.owner[self.keys.pop(rid)]
+        for g in set(map(abs, w)):
+            self.occurs[g].discard(rid)
+        return w
+
+    def _cost(self, g: int, changed: set[int]) -> None:
+        """Key every candidate elimination of g: (total less the current
+        length, pivot length, -name rank, pivot id, position of g in the
+        pivot).  changed holds the ids of the relators containing g that were
+        rewritten or dropped since g was last costed; only they are
+        substituted into again, and only they can gain or lose a candidate."""
+        old = self.costs.get(g, {})
+        costs = {}
+        occurs = self.occurs[g]
+        redo = [rj for rj in changed if rj in occurs]
+        for rid, (key, deltas) in old.items():
+            if rid in changed:
+                continue
+            total = key[0] - sum(deltas.pop(rj, 0) for rj in changed)
+            if redo:
+                replacement, inverse = _costed_solution(self.relators[rid], key[4])
+                total += self._deltas(g, replacement, inverse, redo, deltas)
+            costs[rid] = ((total, *key[1:]), deltas)
+            if total != key[0]:
+                heapq.heappush(self.heap, (costs[rid][0], g))
+        for rid in redo:
+            rel = self.relators[rid]
+            if rel.count(g) + rel.count(-g) != 1:
+                continue
+            pos = rel.index(g) if g in rel else rel.index(-g)
+            replacement, inverse = _costed_solution(rel, pos)
+            deltas = {}
+            others = [rj for rj in occurs if rj != rid]
+            total = self._deltas(g, replacement, inverse, others, deltas) - len(rel)
+            key = (total, len(rel), -self.rank[g], rid, pos)
+            costs[rid] = (key, deltas)
+            heapq.heappush(self.heap, (key, g))
+        if costs:
+            self.costs[g] = costs
+        else:
+            self.costs.pop(g, None)
+
+    def _deltas(self, g, replacement, inverse, ids, deltas: dict[int, int]) -> int:
+        """Record in deltas the length change of each relator in ids when g
+        is substituted away; return their sum.
+
+        The common case needs no substitution.  Say g^e occurs once in a
+        relator w of length >= 2, at position i, and its spelling S is not
+        empty.  w with S in place of w[i] is A S B, where A = w[:i] and
+        B = w[i + 1:].  A, B and S are reduced: the first two are subwords
+        of the cyclically reduced w, and S or its inverse is a cyclic
+        subword of the cyclically reduced pivot.  If w[i - 1] (cyclically) does not cancel
+        against S[0], nor S[-1] against w[i + 1], then both joins are
+        reduced, and so are the cyclic ends: they are those of w when i is
+        inside w, and one of the two joins when i is at an end.  So A S B is
+        _substitute's result, and the change is len(S) - 1.  Every other
+        case is substituted.
+        """
+        total = 0
+        size = len(replacement)
+        for rj in ids:
+            other = self.relators[rj]
+            n = len(other)
+            delta = None
+            if size and n >= 2 and other.count(g) + other.count(-g) == 1:
+                i = other.index(g) if g in other else other.index(-g)
+                spelled = replacement if other[i] == g else inverse
+                if other[i - 1] != -spelled[0] and spelled[-1] != -other[(i + 1) % n]:
+                    delta = size - 1
+            if delta is None:
+                delta = len(_costed_substitute(other, g, replacement, inverse)) - n
+            deltas[rj] = delta
+            total += delta
+        return total
+
+    def _live(self, key: tuple, g: int) -> bool:
+        """Whether a heap entry is the current key of its candidate."""
+        entry = self.costs.get(g, {}).get(key[3])
+        return entry is not None and entry[0] == key
+
+    def step(self) -> bool:
+        """Apply the least candidate; False when there is none."""
+        heap = self.heap
+        while heap and not self._live(*heap[0]):
+            heapq.heappop(heap)
+        if not heap:
+            return False
+        (_, _, _, rid, pos), g = heapq.heappop(heap)
+        # generator -> ids of the relators containing it that change
+        changed: dict[int, set[int]] = {}
+
+        def touch(rj: int, w: IndexWord) -> None:
+            for x in w:
+                changed.setdefault(abs(x), set()).add(rj)
+
+        pivot = self._drop(rid)
+        touch(rid, pivot)
+        replacement, inverse = _costed_solution(pivot, pos)
+        rewritten = sorted(self.occurs[g])
+        olds = [self._drop(rj) for rj in rewritten]
+        del self.occurs[g], self.costs[g]
+        for rj, old in zip(rewritten, olds):
+            touch(rj, old)
+            new = _costed_substitute(old, g, replacement, inverse)
+            if not new:
+                continue
+            key = costed_class_key(new)
+            holder = self.owner.get(key)
+            if holder is not None and holder < rj:
+                continue
+            if holder is not None:
+                touch(holder, self._drop(holder))
+            self._add(rj, new, key)
+            touch(rj, new)
+        del changed[g]
+        for h, ids in changed.items():
+            self._cost(h, ids)
+        return True
+
+    def presentation(self) -> Presentation:
+        names = self.names
+        generators = tuple(name for g, name in enumerate(names, start=1) if g in self.occurs)
+        relators = tuple(
+            tuple((names[abs(x) - 1], 1 if x > 0 else -1) for x in self.relators[rid])
+            for rid in sorted(self.relators)
+        )
+        return Presentation(generators, relators)
+
+
+def costed_tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPresentation:
+    """tietze_simplify on CostedTietze's loop."""
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
+    state = CostedTietze(p)
+    steps = 0
+    while steps < budget and state.step():
+        steps += 1
+    exhausted = steps == budget and bool(state.costs)
+    return SimplifiedPresentation(state.presentation(), steps, exhausted)
 
 
 def smith_diagonal(matrix: list[list[int]]) -> list[int]:

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from saguaro import cactus, cli, syntax
+from saguaro import cactus, cli, presentation, rschreier, syntax
 from saguaro.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -211,6 +211,32 @@ def test_rs_images_missing_a_generator_names_it(tmp_path, capsys):
     code, out, err = run(capsys, "rs", "--presentation", str(pres), "--images", str(images))
     assert code == 2 and out == ""
     assert "no image given for generators ['s13']" in err
+
+
+def test_rs_over_the_coset_cap_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    # J4 has 24 cosets; every source of images stops at a cap below that
+    monkeypatch.setattr(rschreier, "MAX_COSETS", 23)
+    pres = tmp_path / "j4.txt"
+    pres.write_text(syntax.format_presentation(presentation.builtin("J4")))
+    images = tmp_path / "images.txt"
+    images.write_text("s12: (2,1,3,4)\ns13: (3,2,1,4)\ns14: (4,3,2,1)\n")
+    for argv in (["--images", str(images)], ["--strands", "4"]):
+        code, out, err = run(capsys, "rs", "--presentation", str(pres), *argv)
+        assert code == 2 and out == ""
+        assert "more than MAX_COSETS = 23 cosets" in err
+    code, out, err = run(capsys, "rs", "--builtin", "J4", "--json")
+    assert code == 2 and "MAX_COSETS = 23" in err
+    monkeypatch.setattr(rschreier, "MAX_COSETS", 24)
+    assert run(capsys, "rs", "--builtin", "J4", "--json")[0] == 0
+
+
+@pytest.mark.parametrize("command", [["abel"], ["rs", "--strands", "2"]])
+def test_huge_presentation_exponent_exits_2_naming_the_term(tmp_path, capsys, command):
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: s12\nrels: s12^2\nrels: s12^1000000000\n")
+    code, out, err = run(capsys, command[0], "--presentation", str(pres), *command[1:])
+    assert code == 2 and out == ""
+    assert "'s12^1000000000'" in err and str(syntax.MAX_EXPONENT) in err
 
 
 def test_abel(tmp_path, capsys):

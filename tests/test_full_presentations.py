@@ -178,15 +178,9 @@ def test_tietze_tie_break_matches_oracle_on_equal_name_keys():
 def test_tietze_matches_indexed_loop_on_random_presentations():
     # Duplicates, empty and unreduced relators, unused generators and equal
     # name keys, at every budget up to the fixpoint.
-    names = ("g1", "g01", "g2", "g10", "x2", "x02", "a", "b")
     rng = random.Random(43)
     for _ in range(200):
-        generators = tuple(rng.sample(names, rng.randint(1, len(names))))
-        relators = tuple(
-            tuple((rng.choice(generators), rng.choice((1, -1))) for _ in range(rng.randint(0, 7)))
-            for _ in range(rng.randint(0, 8))
-        )
-        p = Presentation(generators, relators)
+        p = random_presentation(rng)
         fixpoint = oracles.indexed_tietze_simplify(p).steps
         for budget in range(fixpoint + 2):
             assert tietze_simplify(p, budget) == oracles.indexed_tietze_simplify(p, budget)
@@ -226,17 +220,144 @@ def test_tietze_costing_edge_cases_match_indexed_loop():
 
 def test_tietze_costing_substitutes_only_where_lengths_can_cancel(raw_j4, monkeypatch):
     # Substituting into every indexed relator for every candidate takes
-    # 5,329 calls on full J4 and 835 on builtin J4.
-    calls = []
-    substitute = presentation._substitute
+    # 5,329 calls on full J4 and 835 on builtin J4; keeping each candidate's
+    # per-relator changes between steps took 381 and 103.  Costing a
+    # candidate exactly only when its bound surfaces, and then reading the
+    # joins of the relators holding g once, takes 9 and 41, in 18 and 102
+    # exact costings.
+    calls, exact = [], []
+    substitute, cost = presentation._substitute, presentation._Tietze._exact
     monkeypatch.setattr(
         presentation, "_substitute", lambda *args: calls.append(args) or substitute(*args)
     )
+    monkeypatch.setattr(
+        presentation._Tietze, "_exact", lambda *args: exact.append(args) or cost(*args)
+    )
     tietze_simplify(raw_j4, 1)
-    assert len(calls) == 381
+    assert (len(calls), len(exact)) == (9, 18)
     calls.clear()
+    exact.clear()
     tietze_simplify(raw_rs(builtin("J4"), 4))
-    assert len(calls) == 103
+    assert (len(calls), len(exact)) == (41, 102)
+
+
+def assert_bounds_hold(p: Presentation) -> None:
+    """In the loop built from p, every candidate's key holds a lower bound of
+    its total, the total itself when marked exact, and _exact gives the
+    total that the loop kept in oracles.py costs it at."""
+    loop, old = presentation._Tietze(p), oracles.CostedTietze(p)
+    totals = {(g, rid): key for g, costs in old.costs.items() for rid, (key, _) in costs.items()}
+    keys = {(e[6], e[3]): e for e in loop.heap}
+    assert keys.keys() == totals.keys() and loop.live == len(keys)
+    for (g, rid), (bound, size, rank, _, pos, is_bound, _, _) in keys.items():
+        total = loop._exact(g, rid)
+        assert totals[g, rid] == (total, size, rank, rid, pos)
+        assert bound <= total and (is_bound or bound == total)
+
+
+def assert_matches_costed_loop(p: Presentation) -> int:
+    """The elimination loop and the one kept in oracles.py, stepped side by
+    side from p to their fixpoint, pass through the same presentations and
+    have candidates left at the same steps, so tietze_simplify and the old
+    loop agree at every budget; the bounds hold at every state.  Returns the
+    number of steps to the fixpoint.  Stale keys never fill the heap."""
+    loop, old = presentation._Tietze(p), oracles.CostedTietze(p)
+    steps = 0
+    while True:
+        state = loop.presentation()
+        assert state == old.presentation() and (loop.live > 0) == bool(old.costs)
+        assert len(loop.heap) <= 2 * loop.live + 64
+        assert_bounds_hold(state)
+        stepped = loop.step()
+        assert stepped == old.step()
+        if not stepped:
+            return steps
+        steps += 1
+
+
+def random_presentation(rng: random.Random) -> Presentation:
+    """Up to 8 relators of up to 7 letters on some of 8 names, among them
+    names with equal natural keys (g1 and g01, x2 and x02)."""
+    names = ("g1", "g01", "g2", "g10", "x2", "x02", "a", "b")
+    generators = tuple(rng.sample(names, rng.randint(1, len(names))))
+    relators = tuple(
+        tuple((rng.choice(generators), rng.choice((1, -1))) for _ in range(rng.randint(0, 7)))
+        for _ in range(rng.randint(0, 8))
+    )
+    return Presentation(generators, relators)
+
+
+def test_tietze_matches_costed_loop_on_random_presentations():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(300):
+        p = random_presentation(rng)
+        fixpoint = assert_matches_costed_loop(p)
+        for budget in range(fixpoint + 2):
+            assert tietze_simplify(p, budget) == oracles.costed_tietze_simplify(p, budget)
+        words = [presentation.cyclic_reduce(rel) for rel in p.relators]
+        features = {
+            "empty relator": any(not w for w in words),
+            "length-1 pivot": any(len(w) == 1 for w in words),
+            "repeated generator": any(len({x for x, _ in w}) < len(w) for w in words),
+            "equal name keys": {"g1", "g01"} <= set(p.generators),
+        }
+        seen.update(name for name, present in features.items() if present)
+    assert seen == {"empty relator", "length-1 pivot", "repeated generator", "equal name keys"}
+
+
+@pytest.mark.parametrize("name,n", [("J3", 3), ("J4", 4)])
+def test_tietze_matches_costed_loop_on_builtin(name, n):
+    raw = raw_rs(builtin(name), n)
+    fixpoint = assert_matches_costed_loop(raw)
+    for budget in range(fixpoint + 2):
+        assert tietze_simplify(raw, budget) == oracles.costed_tietze_simplify(raw, budget)
+
+
+def test_tietze_matches_costed_loop_on_full_j4(raw_j4):
+    assert assert_matches_costed_loop(raw_j4) == 93
+    for budget in (0, 1, 2, 5, 10, 92, 93, 94):
+        assert tietze_simplify(raw_j4, budget) == oracles.costed_tietze_simplify(raw_j4, budget)
+
+
+def test_class_key_matches_the_key_over_every_rotation():
+    rng = random.Random(67)
+    words = [(1,), (-1,), (1, 1), (1, -1), (1, -2) * 3, (2, 1) * 4, (-3,) * 3, (1, 2, -1, -2)]
+    for _ in range(3000):
+        length = rng.randint(1, 12)
+        words.append(tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(length)))
+    for w in words:
+        assert presentation._class_key(w) == oracles.costed_class_key(w)
+
+
+def test_joined_matches_substitution():
+    # w holds the generator 1 once and is cyclically reduced; spelled is reduced
+    rng = random.Random(71)
+
+    def reduced(length):
+        out = []
+        while len(out) < length:
+            x = rng.choice((2, -2, 3, -3, 4, -4))
+            if not out or out[-1] != -x:
+                out.append(x)
+        return tuple(out)
+
+    outcomes = set()
+    for _ in range(5000):
+        w = reduced(rng.randint(0, 8))
+        i = rng.randint(0, len(w))
+        w = w[:i] + (rng.choice((1, -1)),) + w[i:]
+        if len(w) > 1 and w[0] == -w[-1]:
+            continue
+        spelled = reduced(rng.randint(0, 6))
+        inverse = tuple(-x for x in reversed(spelled))
+        replacement, other = (spelled, inverse) if w[i] == 1 else (inverse, spelled)
+        change = presentation._joined(w, i, spelled)
+        if change is not None:
+            assert change == len(presentation._substitute(w, 1, replacement, other)) - len(w)
+        kept = change == len(spelled) - 1
+        outcomes.add("none" if change is None else "kept" if kept else "cancelled")
+    assert outcomes == {"none", "cancelled", "kept"}
 
 
 def test_tietze_matches_oracle_on_full_j4(raw_j4):

@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import one_relator_equivalent
-from saguaro import cactus
+from saguaro import cactus, rschreier
 from saguaro.cactus import word
 from saguaro.perm import Permutation
 from saguaro.presentation import (
@@ -51,6 +51,16 @@ def test_transversal_counts():
     x2 = Presentation(("x",), (positive_word("x", "x"),))
     assert len(build_transversal(x2, {"x": Permutation((1, 2))})) == 1
     assert len(build_transversal(x2, {"x": Permutation((2, 1))})) == 2
+
+
+def test_transversal_stops_at_the_coset_cap(monkeypatch):
+    j4 = builtin("J4")
+    images = strand_images(j4, 4)
+    monkeypatch.setattr(rschreier, "MAX_COSETS", 23)
+    with pytest.raises(ValueError, match="more than MAX_COSETS = 23 cosets"):
+        build_transversal(j4, images)
+    monkeypatch.setattr(rschreier, "MAX_COSETS", 24)
+    assert len(build_transversal(j4, images)) == 24
 
 
 def test_transversal_rejects_non_homomorphism():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -88,6 +89,33 @@ def test_parse_presentation_equations_and_comments():
 def test_parse_presentation_unknown_generator():
     with pytest.raises(WordSyntaxError):
         syntax.parse_presentation("gens: x; rels: y^2")
+    # the offset is that of the term, on either side of an '='
+    for text in ("gens: x\nrels: x y", "gens: x\nrels: x = y", "gens: x; rels: x^2 = 1 = y"):
+        with pytest.raises(WordSyntaxError) as info:
+            syntax.parse_presentation(text)
+        assert info.value.position == text.index("y")
+
+
+@pytest.mark.parametrize(
+    "term", ["x^1000000000", "x^-1000000000", "x^10001", "x^" + "9" * 5000], ids=len
+)
+def test_parse_presentation_refuses_huge_exponents_before_expanding(term):
+    text = f"gens: x y\nrels: y x^2 {term}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordSyntaxError) as info:
+            syntax.parse_presentation(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert repr(term) in str(info.value) and info.value.position == text.index(term)
+
+
+def test_parse_presentation_exponents_up_to_the_cap():
+    cap = syntax.MAX_EXPONENT
+    p = syntax.parse_presentation(f"gens: x; rels: x^-{cap}; rels: x^000003 x^0 x^-0")
+    assert p.relators == ((("x", -1),) * cap, (("x", 1),) * 3)
 
 
 def test_builtin_j4_text_round_trip():
