@@ -246,7 +246,7 @@ def canonical(w: CactusWord) -> CactusWord:
     's(1,4) s(1,2)'
     """
     reduced = _push_reading(w.letters, _bits(w.n), [])
-    successors, blockers = racg.reduction_dag(reduced, racg.masks_commute)
+    successors, blockers = racg.reduction_dag(reduced)
     where = list(range(w.n + 1))
     strands = {mask: _strands(mask) for mask in set(reduced)}
     spelled: dict[tuple[int, int], CactusLetter] = {}

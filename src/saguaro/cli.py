@@ -9,6 +9,7 @@ subcommands accept --json for machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -81,7 +82,9 @@ def _presentation_from_args(args):
         return syntax.parse_presentation(handle.read())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="saguaro", description="Exact computation in cactus groups."
     )

@@ -1,34 +1,20 @@
 """
-A right-angled Coxeter rewriting engine over an abstract alphabet.
+The Gauss-diagram group: a right-angled Coxeter group whose letters are
+involutions named by sets of strand labels, two of them commuting when their
+label sets are disjoint or nested.
 
-Letters are orderable, hashable values and every letter is an involution; the
-only other relations are commutations, supplied as a symmetric predicate.  On
-such groups two facts drive everything here: a word is shortened exactly by
-deleting two equal letters separated only by letters commuting with them, and
-all shortest representatives of an element form a single commutation class.
-Reduction pushes letters one at a time onto a reduced word; equality is one
-reduction of u v^-1; the canonical form is the lexicographically least
-linearization of an irreducible representative, found by Kahn's algorithm
-over the transitive reduction of its non-commutation DAG (the lexicographic
-normal form of a trace).
-
-The concrete alphabet used throughout the package is the Gauss-diagram
-alphabet: a letter carries a set of strand labels, and two letters commute
-when their label sets are disjoint or nested, a test on two bit masks.  The
-masks are an alphabet too: push_masks, push reduction with that test
-inlined, is the kernel of every cactus decision.  The generic functions
-serve GaussWords and, disjointness only, width-restricted diagram groups.
+Every computation runs on label masks, a label set stored as the sum of 2**x,
+where that commutation is one test on the masks' intersection.  push_masks
+reduces, and is the kernel of every cactus decision; equality is one
+reduction of u v^-1; the canonical form is the least linearization of the
+reduced word, found by Kahn's algorithm over reduction_dag.  The
+Gauss-letter functions push the letters' masks and map the result back.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import TypeVar
-
-L = TypeVar("L")
-
-CommutationPredicate = Callable[[L, L], bool]
+from collections.abc import Iterable, Sequence
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -36,7 +22,7 @@ class GaussLetter:
     """An involution named by a label set of size >= 2, stored sorted.
 
     The same set is also kept as its label mask, the sum of 2**x, which the
-    commutation predicates test; it takes no part in comparison, hashing or repr.
+    engine computes on; it takes no part in comparison, hashing or repr.
 
     The order on letters is the tuple order on the sorted labels, so a letter
     precedes its own extensions: t{1,2} < t{1,2,3} < t{1,3}.
@@ -85,12 +71,6 @@ class GaussWord:
         return " ".join(str(letter) for letter in self.letters)
 
 
-def masks_commute(a: int, b: int) -> bool:
-    """Gauss-diagram commutation on label masks, themselves an alphabet."""
-    c = a & b
-    return c == 0 or c == a or c == b
-
-
 def commutes(a: GaussLetter, b: GaussLetter) -> bool:
     """Gauss-diagram commutation: label sets disjoint or nested.
 
@@ -99,33 +79,21 @@ def commutes(a: GaussLetter, b: GaussLetter) -> bool:
     >>> commutes(tau(1, 2), tau(1, 3))
     False
     """
-    return masks_commute(a.mask, b.mask)
-
-
-def commutes_disjoint(a: GaussLetter, b: GaussLetter) -> bool:
-    """Width-restricted commutation: label sets disjoint only."""
-    return not a.mask & b.mask
-
-
-def push_letter(out: list[L], letter: L, commute: CommutationPredicate) -> None:
-    """Append one letter to a reduced word, keeping it reduced.
-
-    Scanning backwards, an equal letter reachable through commuting letters
-    annihilates with the new one; the first non-commuting letter blocks any
-    earlier copy, so the scan may stop there.  Appending otherwise cannot
-    create a new cancellable pair, hence the invariant.
-    """
-    for i in range(len(out) - 1, -1, -1):
-        if out[i] == letter:
-            del out[i]
-            return
-        if not commute(out[i], letter):
-            break
-    out.append(letter)
+    c = a.mask & b.mask
+    return c == 0 or c == a.mask or c == b.mask
 
 
 def push_masks(out: list[int], masks: Iterable[int]) -> list[int]:
-    """push_letter under masks_commute, inlined, for each mask in turn."""
+    """Append masks one at a time to a reduced word, keeping it reduced.
+
+    In a right-angled Coxeter group a word shortens exactly by deleting two
+    equal letters separated only by letters commuting with them, and all
+    reduced words of an element form one commutation class.  So, scanning
+    backwards, an equal mask reachable through commuting masks annihilates
+    with the new one; the first non-commuting mask blocks any earlier copy,
+    so the scan may stop there.  Appending otherwise cannot create a new
+    cancellable pair, hence the invariant.
+    """
     for mask in masks:
         for i in range(len(out) - 1, -1, -1):
             other = out[i]
@@ -141,19 +109,14 @@ def push_masks(out: list[int], masks: Iterable[int]) -> list[int]:
     return out
 
 
-def reduce_letters(letters: Sequence[L], commute: CommutationPredicate) -> tuple[L, ...]:
-    """An irreducible word for the same element; its length is the geodesic length."""
-    out: list[L] = []
-    for letter in letters:
-        push_letter(out, letter, commute)
-    return tuple(out)
+def push_letter(out: list[int], mask: int) -> None:
+    """push_masks for one mask."""
+    push_masks(out, (mask,))
 
 
-def reduction_dag(
-    letters: Sequence[L], commute: CommutationPredicate
-) -> tuple[list[list[int]], list[int]]:
+def reduction_dag(masks: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     """The transitive reduction of the non-commutation DAG (i -> j for i < j
-    whose letters do not commute): each letter's successors, in increasing
+    whose masks do not commute): each mask's successors, in increasing
     index, and its number of predecessors.
 
     below[j] is the bit set of j and its ancestors.  The candidate
@@ -161,18 +124,20 @@ def reduction_dag(
     i -> j clears every ancestor of i from the candidates untested, since
     each of them precedes j already.  An ancestor of j that is no
     predecessor lies below a predecessor of higher index, which the walk
-    meets first, so the letters left to test are exactly the predecessors
+    meets first, so the masks left to test are exactly the predecessors
     and the non-ancestors.
     """
-    successors: list[list[int]] = [[] for _ in letters]
-    blockers = [0] * len(letters)
+    successors: list[list[int]] = [[] for _ in masks]
+    blockers = [0] * len(masks)
     below: list[int] = []
-    for j, b in enumerate(letters):
+    for j, b in enumerate(masks):
         ancestors = 1 << j
         candidates = ancestors - 1
         while candidates:
             i = candidates.bit_length() - 1
-            if commute(letters[i], b):
+            a = masks[i]
+            c = a & b
+            if c == 0 or c == a or c == b:
                 candidates ^= 1 << i
             else:
                 successors[i].append(j)
@@ -183,43 +148,42 @@ def reduction_dag(
     return successors, blockers
 
 
-def least_linearization(
-    letters: Sequence[L], commute: CommutationPredicate, key: Callable[[L], object] | None = None
-) -> Iterator[L]:
-    """Yield a reduced word in the lexicographically least order, by key, that
-    its commutation class allows.
+def _masks(letters: Iterable[GaussLetter]) -> list[int]:
+    return [letter.mask for letter in letters]
 
-    Kahn's algorithm over reduction_dag: each step emits the least source.
-    Sources pairwise commute and, the word being reduced, are pairwise
-    distinct, so the choice is unambiguous.  The key is evaluated lazily,
-    after the consumer has handled the previous letter, so it may read state
-    that the consumer updates as it goes.  A node is a source exactly when
-    all its ancestors have been emitted, and the last of them to be emitted
-    is a maximal one, an edge of the reduction; each emitted node releases
-    its successors in increasing index.  So the reduction, having the
-    reachability of the full DAG, yields the same sources in the same order
-    for any predicate and key.
+
+def reduce_letters(letters: Sequence[GaussLetter]) -> tuple[GaussLetter, ...]:
+    """An irreducible word for the same element; its length is the geodesic length."""
+    by_mask = {letter.mask: letter for letter in letters}
+    return tuple(by_mask[mask] for mask in push_masks([], _masks(letters)))
+
+
+def canonical_letters(letters: Sequence[GaussLetter]) -> tuple[GaussLetter, ...]:
+    """The least word, letter by letter, in the commutation class of a reduction.
+
+    It depends only on the group element, since all reduced words of an
+    element form one commutation class.  Kahn's algorithm over reduction_dag
+    emits the least source at each step: sources pairwise commute and, the
+    word being reduced, are pairwise distinct, so the choice is unambiguous.
+    A node is a source exactly when all its ancestors have been emitted, and
+    the last of them to be emitted is a maximal one, an edge of the
+    reduction; so the reduction yields the sources of the full DAG.
     """
-    successors, blockers = reduction_dag(letters, commute)
+    by_mask = {letter.mask: letter for letter in letters}
+    masks = push_masks([], _masks(letters))
+    reduced = [by_mask[mask] for mask in masks]
+    successors, blockers = reduction_dag(masks)
     sources = [j for j, count in enumerate(blockers) if not count]
-    by_key = letters.__getitem__ if key is None else lambda j: key(letters[j])
+    out = []
     while sources:
-        best = min(sources, key=by_key) if len(sources) > 1 else sources[0]
+        best = min(sources, key=reduced.__getitem__) if len(sources) > 1 else sources[0]
         sources.remove(best)
-        yield letters[best]
+        out.append(reduced[best])
         for j in successors[best]:
             blockers[j] -= 1
             if not blockers[j]:
                 sources.append(j)
-
-
-def canonical_letters(letters: Sequence[L], commute: CommutationPredicate) -> tuple[L, ...]:
-    """The least word, letter by letter, in the commutation class of a reduction.
-
-    It depends only on the group element, since all reduced words of an
-    element form one commutation class.
-    """
-    return tuple(least_linearization(reduce_letters(letters, commute), commute))
+    return tuple(out)
 
 
 def racg_reduce(w: GaussWord) -> GaussWord:
@@ -228,7 +192,7 @@ def racg_reduce(w: GaussWord) -> GaussWord:
     >>> str(racg_reduce(GaussWord(4, (tau(1, 2), tau(3, 4), tau(1, 2)))))
     't{3,4}'
     """
-    return GaussWord(w.n, reduce_letters(w.letters, commutes))
+    return GaussWord(w.n, reduce_letters(w.letters))
 
 
 def racg_canonical(w: GaussWord) -> GaussWord:
@@ -237,7 +201,7 @@ def racg_canonical(w: GaussWord) -> GaussWord:
     >>> str(racg_canonical(GaussWord(3, (tau(1, 2, 3), tau(1, 2)))))
     't{1,2} t{1,2,3}'
     """
-    return GaussWord(w.n, canonical_letters(w.letters, commutes))
+    return GaussWord(w.n, canonical_letters(w.letters))
 
 
 def racg_equal(u: GaussWord, v: GaussWord) -> bool:
@@ -248,4 +212,4 @@ def racg_equal(u: GaussWord, v: GaussWord) -> bool:
     """
     if u.n != v.n:
         raise ValueError(f"size mismatch: {u.n} vs {v.n}")
-    return not reduce_letters(u.letters + tuple(reversed(v.letters)), commutes)
+    return not push_masks([], _masks(u.letters + v.letters[::-1]))

@@ -162,9 +162,6 @@ class Transversal:
         """The kernel element a_{k,g} = (k g)(kg-bar)^-1, reduced."""
         return self.words[k][g]
 
-    def is_trivial(self, k: int, g: str) -> bool:
-        return not self.words[k][g]
-
     def name(self, k: int, g: str) -> str:
         return f"a_k{k + 1}_{g}"
 

@@ -142,7 +142,9 @@ def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
     width-i diagram group, where letters commute only when disjoint) plus the
     permutation contributed by all leaves >= i.
 
-    Letters of leaf < i vanish entirely, reversals included.
+    Letters of leaf < i vanish entirely, reversals included.  The leaf-i
+    letters all have i labels, and distinct label sets of one size are never
+    nested, so the Gauss engine's commutation is disjointness on them.
     """
     if not 2 <= i <= w.n:
         raise ValueError(f"need 2 <= i <= n, got i={i} n={w.n}")
@@ -153,7 +155,7 @@ def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
         for letter, block in cactus.walk(big, labels)
         if letter.leaf == i
     ]
-    reduced = racg.canonical_letters(letters, racg.commutes_disjoint)
+    reduced = racg.canonical_letters(letters)
     return GaussWord(w.n, reduced), Permutation(tuple(labels)).inverse()
 
 

@@ -9,7 +9,10 @@ The second half keeps the earlier implementations that the Gauss engine
 replaced, as references for differential tests: the exchange-move reduction
 and canonical form of cactus words (at least cubic in the word length), the
 greedy canonical form of Gauss words, equality by comparing canonical forms,
-and the width-i eraser with its own diagram loop.  Commutation is tested on
+and the width-i eraser with its own diagram loop.  The Gauss engine over any
+alphabet with a commutation predicate (push reduction, the transitive
+reduction of the non-commutation DAG and the least linearization under a
+key) is kept too; the engine now runs on label masks only.  Commutation is tested on
 label sets, not on the bit masks the package uses.  Also kept: the element
 order that probes every power up to the bound with a length-based pruning
 rule, the element order that read m from a second walk and pushed all m
@@ -42,8 +45,9 @@ import math
 import operator
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TypeVar
 
-from saguaro import cactus, racg
+from saguaro import cactus
 from saguaro.cactus import (  # noqa: F401
     CactusLetter,
     CactusWord,
@@ -63,7 +67,7 @@ from saguaro.presentation import (
     free_reduce,
     invert_word,
 )
-from saguaro.racg import CommutationPredicate, GaussLetter, GaussWord, L, reduce_letters
+from saguaro.racg import GaussLetter, GaussWord
 from saguaro.rschreier import RSGenerator
 
 
@@ -254,6 +258,119 @@ def equal(u: CactusWord, v: CactusWord) -> bool:
     return cu == cv
 
 
+# The Gauss engine as it was when it took any alphabet with a commutation
+# predicate, with the mask commutation test; names prefixed with generic_,
+# bodies verbatim.
+
+L = TypeVar("L")
+
+CommutationPredicate = Callable[[L, L], bool]
+
+
+def generic_masks_commute(a: int, b: int) -> bool:
+    """Gauss-diagram commutation on label masks, themselves an alphabet."""
+    c = a & b
+    return c == 0 or c == a or c == b
+
+
+def generic_push_letter(out: list[L], letter: L, commute: CommutationPredicate) -> None:
+    """Append one letter to a reduced word, keeping it reduced.
+
+    Scanning backwards, an equal letter reachable through commuting letters
+    annihilates with the new one; the first non-commuting letter blocks any
+    earlier copy, so the scan may stop there.  Appending otherwise cannot
+    create a new cancellable pair, hence the invariant.
+    """
+    for i in range(len(out) - 1, -1, -1):
+        if out[i] == letter:
+            del out[i]
+            return
+        if not commute(out[i], letter):
+            break
+    out.append(letter)
+
+
+def generic_reduce_letters(letters: Sequence[L], commute: CommutationPredicate) -> tuple[L, ...]:
+    """An irreducible word for the same element; its length is the geodesic length."""
+    out: list[L] = []
+    for letter in letters:
+        generic_push_letter(out, letter, commute)
+    return tuple(out)
+
+
+def generic_reduction_dag(
+    letters: Sequence[L], commute: CommutationPredicate
+) -> tuple[list[list[int]], list[int]]:
+    """The transitive reduction of the non-commutation DAG (i -> j for i < j
+    whose letters do not commute): each letter's successors, in increasing
+    index, and its number of predecessors.
+
+    below[j] is the bit set of j and its ancestors.  The candidate
+    predecessors of j are walked from the highest index down, and an edge
+    i -> j clears every ancestor of i from the candidates untested, since
+    each of them precedes j already.  An ancestor of j that is no
+    predecessor lies below a predecessor of higher index, which the walk
+    meets first, so the letters left to test are exactly the predecessors
+    and the non-ancestors.
+    """
+    successors: list[list[int]] = [[] for _ in letters]
+    blockers = [0] * len(letters)
+    below: list[int] = []
+    for j, b in enumerate(letters):
+        ancestors = 1 << j
+        candidates = ancestors - 1
+        while candidates:
+            i = candidates.bit_length() - 1
+            if commute(letters[i], b):
+                candidates ^= 1 << i
+            else:
+                successors[i].append(j)
+                blockers[j] += 1
+                candidates &= ~below[i]
+                ancestors |= below[i]
+        below.append(ancestors)
+    return successors, blockers
+
+
+def generic_least_linearization(
+    letters: Sequence[L], commute: CommutationPredicate, key: Callable[[L], object] | None = None
+) -> Iterator[L]:
+    """Yield a reduced word in the lexicographically least order, by key, that
+    its commutation class allows.
+
+    Kahn's algorithm over reduction_dag: each step emits the least source.
+    Sources pairwise commute and, the word being reduced, are pairwise
+    distinct, so the choice is unambiguous.  The key is evaluated lazily,
+    after the consumer has handled the previous letter, so it may read state
+    that the consumer updates as it goes.  A node is a source exactly when
+    all its ancestors have been emitted, and the last of them to be emitted
+    is a maximal one, an edge of the reduction; each emitted node releases
+    its successors in increasing index.  So the reduction, having the
+    reachability of the full DAG, yields the same sources in the same order
+    for any predicate and key.
+    """
+    successors, blockers = generic_reduction_dag(letters, commute)
+    sources = [j for j, count in enumerate(blockers) if not count]
+    by_key = letters.__getitem__ if key is None else lambda j: key(letters[j])
+    while sources:
+        best = min(sources, key=by_key) if len(sources) > 1 else sources[0]
+        sources.remove(best)
+        yield letters[best]
+        for j in successors[best]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                sources.append(j)
+
+
+def generic_canonical_letters(letters: Sequence[L], commute: CommutationPredicate) -> tuple[L, ...]:
+    """The least word, letter by letter, in the commutation class of a reduction.
+
+    It depends only on the group element, since all reduced words of an
+    element form one commutation class.
+    """
+    return tuple(generic_least_linearization(generic_reduce_letters(letters, commute), commute))
+
+
 def canonical_letters(letters: Sequence[L], commute: CommutationPredicate) -> tuple[L, ...]:
     """The least word, letter by letter, in the commutation class of a reduction.
 
@@ -262,7 +379,7 @@ def canonical_letters(letters: Sequence[L], commute: CommutationPredicate) -> tu
     the front (they would cancel), so the choice is unambiguous and the result
     depends only on the group element.
     """
-    rest = list(reduce_letters(letters, commute))
+    rest = list(generic_reduce_letters(letters, commute))
     out: list[L] = []
     while rest:
         best = 0
@@ -343,7 +460,7 @@ def scan_canonical(w: CactusWord) -> CactusWord:
     """
     reduced = _push_reading(w.letters, list(range(1, w.n + 1)), [])
     labels = list(range(1, w.n + 1))
-    front = racg.least_linearization(reduced, racg.masks_commute, key=lambda m: _scan_span(labels, m))
+    front = generic_least_linearization(reduced, generic_masks_commute, key=lambda m: _scan_span(labels, m))
     return _scan_respell(w.n, front, labels)
 
 
@@ -407,7 +524,7 @@ def key_canonical(w: CactusWord) -> CactusWord:
         positions = readers[mask](where)
         return min(positions), max(positions)
 
-    front = racg.least_linearization(reduced, racg.masks_commute, key=span)
+    front = generic_least_linearization(reduced, generic_masks_commute, key=span)
     return _key_respell(w.n, front, where)
 
 
@@ -480,7 +597,7 @@ def _push_reading(
     """Push the Gauss letters that `letters` read from the label state, as
     label masks, onto a reduced word and return it."""
     for _, block in walk(letters, labels):
-        racg.push_letter(reduced, label_mask(block), racg.masks_commute)
+        generic_push_letter(reduced, label_mask(block), generic_masks_commute)
     return reduced
 
 
@@ -1297,7 +1414,7 @@ def cancellable_pairs(letters: Sequence[L], commute: CommutationPredicate) -> li
 
 def letter_multiset(letters: Sequence[L], commute: CommutationPredicate) -> Counter:
     """Multiset of letters of a reduction; independent of the reduction order."""
-    return Counter(reduce_letters(letters, commute))
+    return Counter(generic_reduce_letters(letters, commute))
 
 
 def _rotations(w: SignedWord):

@@ -52,60 +52,102 @@ def test_long_words_match_oracle():
         assert cactus.equal(u, u * v) == oracles.equal(u, u * v)
 
 
+def random_letters(rng, n, length, size=None):
+    """Gauss letters on strands 1..n, of random sizes unless one is given."""
+    return tuple(racg.tau(*rng.sample(range(1, n + 1), size or rng.randint(2, n)))
+                 for _ in range(length))
+
+
 def test_canonical_letters_match_greedy_scan():
-    pairs = ((racg.commutes, oracles.commutes), (racg.commutes_disjoint, oracles.commutes_disjoint))
+    # Letters of one size commute exactly when disjoint, so on them the
+    # engine also gives the canonical form of the width-i diagram group.
     for rng, u, _ in random_pairs(33, 600, range(2, 9), 40):
         gauss = cactus.read_diagram(u).gauss.letters
         n = u.n
-        free = tuple(
-            racg.tau(*rng.sample(range(1, n + 1), rng.randint(2, n)))
-            for _ in range(rng.randint(0, 30))
+        free = random_letters(rng, n, rng.randint(0, 30))
+        same_size = random_letters(rng, n, rng.randint(0, 30), rng.randint(2, n))
+        for letters in (gauss, free, same_size):
+            assert racg.canonical_letters(letters) == oracles.canonical_letters(
+                letters, oracles.commutes
+            )
+        assert racg.canonical_letters(same_size) == oracles.canonical_letters(
+            same_size, oracles.commutes_disjoint
         )
-        for letters in (gauss, free):
-            for mine, theirs in pairs:
-                assert racg.canonical_letters(letters, mine) == oracles.canonical_letters(
-                    letters, theirs
-                )
 
 
-def both_linearizations(letters, commute, key=None):
-    mine = tuple(racg.least_linearization(letters, commute, key))
-    theirs = tuple(oracles.least_linearization(letters, commute, key))
-    return mine, theirs
+def disjoint(a, b):
+    return not a & b
 
 
-def random_masks(rng, n, length):
-    return [sum(1 << x for x in rng.sample(range(1, n + 1), rng.randint(2, n)))
-            for _ in range(length)]
+def test_mask_engine_matches_generic_engine():
+    # Each function against its old generic copy, under Gauss commutation.
+    rng = random.Random(49)
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        length = rng.randint(0, 60)
+        for letters in (random_letters(rng, n, length),
+                        random_letters(rng, n, length, rng.randint(2, n))):
+            masks = [letter.mask for letter in letters]
+            mine, theirs = [], []
+            for mask in masks:
+                racg.push_letter(mine, mask)
+                oracles.generic_push_letter(theirs, mask, oracles.generic_masks_commute)
+                assert mine == theirs
+            assert racg.push_masks([], masks) == theirs
+            assert racg.reduce_letters(letters) == oracles.generic_reduce_letters(
+                letters, oracles.commutes
+            )
+            assert racg.canonical_letters(letters) == oracles.generic_canonical_letters(
+                letters, oracles.commutes
+            )
+            half = rng.randint(0, length)
+            u, v = racg.GaussWord(n, letters[:half]), racg.GaussWord(n, letters[half:])
+            for x, y in ((u, v), (u, u), (v, racg.racg_canonical(v))):
+                assert racg.racg_equal(x, y) == (not oracles.generic_reduce_letters(
+                    x.letters + tuple(reversed(y.letters)), oracles.commutes
+                ))
+
+
+def random_masks(rng, n, length, size=None):
+    return [letter.mask for letter in random_letters(rng, n, length, size)]
 
 
 def test_least_linearization_matches_all_pairs_kahn():
-    # Reduced or not, the transitive reduction must emit what the full DAG does.
+    # Reduced or not, the transitive reduction is the old one, and Kahn's
+    # algorithm over it emits what it does over the full DAG.
     rng = random.Random(39)
     for _ in range(400):
         n = rng.randint(2, 10)
         letters = random_masks(rng, n, rng.randint(0, 60))
-        for commute in (racg.masks_commute, lambda a, b: not a & b):
-            for seq in (letters, racg.reduce_letters(letters, commute)):
-                mine, theirs = both_linearizations(seq, commute)
-                assert mine == theirs
-                mine, theirs = both_linearizations(seq, commute, key=lambda m: -m)
-                assert mine == theirs
-        gauss = tuple(racg.tau(*rng.sample(range(1, n + 1), rng.randint(2, n)))
-                      for _ in range(rng.randint(0, 40)))
-        for commute in (racg.commutes, racg.commutes_disjoint):
-            mine, theirs = both_linearizations(racg.reduce_letters(gauss, commute), commute)
-            assert mine == theirs
+        for masks in (letters, racg.push_masks([], letters)):
+            assert racg.reduction_dag(masks) == oracles.generic_reduction_dag(
+                masks, oracles.generic_masks_commute
+            )
+            for key in (None, lambda m: -m):
+                assert tuple(oracles.generic_least_linearization(
+                    masks, oracles.generic_masks_commute, key
+                )) == tuple(oracles.least_linearization(masks, oracles.generic_masks_commute, key))
+        # on one size, reduction and DAG are those of disjointness
+        same_size = random_masks(rng, n, rng.randint(0, 60), rng.randint(2, n))
+        reduced = racg.push_masks([], same_size)
+        assert reduced == list(oracles.generic_reduce_letters(same_size, disjoint))
+        assert racg.reduction_dag(reduced) == oracles.generic_reduction_dag(reduced, disjoint)
+        gauss = random_letters(rng, n, rng.randint(0, 40))
+        assert racg.canonical_letters(gauss) == tuple(
+            oracles.least_linearization(racg.reduce_letters(gauss), oracles.commutes)
+        )
 
 
 def span_linearizations(w):
-    """The canonical form of w, linearized by each implementation under the
-    cactus key, the spelling of a mask under the running label state."""
+    """The canonical form of w, linearized under the cactus key, the spelling
+    of a mask under the running label state, by Kahn's algorithm over the old
+    transitive reduction and over all pairs."""
     reduced = oracles.label_reading(w)
     out = []
-    for impl in (racg.least_linearization, oracles.least_linearization):
+    for impl in (oracles.generic_least_linearization, oracles.least_linearization):
         labels = list(range(1, w.n + 1))
-        front = impl(reduced, racg.masks_commute, key=lambda m: oracles._scan_span(labels, m))
+        front = impl(reduced, oracles.generic_masks_commute,
+                     key=lambda m: oracles._scan_span(labels, m))
         out.append(oracles._scan_respell(w.n, front, labels))
     return out
 
@@ -177,37 +219,53 @@ def test_canonical_computes_each_span_once(monkeypatch):
 
 def test_least_linearization_matches_all_pairs_kahn_on_structured_words():
     tau = racg.tau
-    disjoint = [tau(2 * k + 1, 2 * k + 2) for k in range(12)]
-    random.Random(41).shuffle(disjoint)
+    disjoint_letters = [tau(2 * k + 1, 2 * k + 2) for k in range(12)]
+    random.Random(41).shuffle(disjoint_letters)
     tower = [tau(*range(1, k + 1)) for k in range(2, 13)]
     chain = [tau(1, 2), tau(2, 3)] * 50
-    for letters in (disjoint, tower, tower[::-1], chain):
-        for commute in (racg.commutes, racg.commutes_disjoint):
-            mine, theirs = both_linearizations(letters, commute)
-            assert mine == theirs
-            assert mine == oracles.canonical_letters(letters, commute)
-    assert tuple(racg.least_linearization(disjoint, racg.commutes)) == tuple(sorted(disjoint))
+    for letters in (disjoint_letters, tower, tower[::-1], chain):
+        masks = [letter.mask for letter in letters]
+        assert racg.reduction_dag(masks) == oracles.generic_reduction_dag(
+            masks, oracles.generic_masks_commute
+        )
+        mine = racg.canonical_letters(letters)
+        assert mine == tuple(oracles.least_linearization(letters, oracles.commutes))
+        assert mine == oracles.canonical_letters(letters, oracles.commutes)
+        assert mine == oracles.generic_canonical_letters(letters, oracles.commutes)
+    for letters in (disjoint_letters, chain):
+        assert racg.canonical_letters(letters) == oracles.canonical_letters(
+            letters, oracles.commutes_disjoint
+        )
+    assert racg.canonical_letters(disjoint_letters) == tuple(sorted(disjoint_letters))
+
+
+class CountedReads(list):
+    """A list that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
 
 
 def test_least_linearization_tests_only_the_chain_on_a_chain():
     # (t{1,2} t{2,3})^k: every letter's only direct predecessor is the one
     # before it, which already covers all the others.
     for k in (1, 2, 10, 500):
-        calls = []
-
-        def counted(a, b):
-            calls.append(None)
-            return racg.commutes(a, b)
-
         chain = (racg.tau(1, 2), racg.tau(2, 3)) * k
-        assert tuple(racg.least_linearization(chain, counted)) == chain
-        assert len(calls) == 2 * k - 1
+        masks = CountedReads(letter.mask for letter in chain)
+        successors, blockers = racg.reduction_dag(masks)
+        assert successors == [[j] for j in range(1, 2 * k)] + [[]]
+        assert blockers == [0] + [1] * (2 * k - 1)
+        assert masks.reads == 2 * k - 1
+        assert racg.canonical_letters(chain) == chain
 
 
 def test_eraser_width_matches_oracle():
-    for rng, u, _ in random_pairs(34, 600, range(2, 9), 40):
-        i = rng.randint(2, u.n)
-        assert subgroups.eraser_width(i, u) == oracles.eraser_width(i, u)
+    for _, u, _ in random_pairs(34, 600, range(2, 9), 40):
+        for i in range(2, u.n + 1):
+            assert subgroups.eraser_width(i, u) == oracles.eraser_width(i, u)
 
 
 def test_reduction_of_twin_words_stays_in_the_twin_alphabet():

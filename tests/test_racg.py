@@ -1,9 +1,10 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from oracles import cancellable_pairs, commutation_class, letter_multiset
+from oracles import cancellable_pairs, commutation_class, commutes_disjoint, letter_multiset
 from saguaro import racg
 from saguaro.racg import GaussLetter, GaussWord, tau
 
@@ -40,8 +41,16 @@ def test_commutes_examples():
 
 
 def test_commutes_disjoint_only():
-    assert racg.commutes_disjoint(tau(1, 2), tau(3, 4))
-    assert not racg.commutes_disjoint(tau(1, 2), tau(1, 2, 3))
+    # Distinct label sets of one size are never nested, so letters of one
+    # size commute exactly when disjoint (the width-i eraser relies on it).
+    assert racg.commutes(tau(1, 2), tau(3, 4))
+    assert not racg.commutes(tau(1, 2), tau(2, 3))
+    for size in range(2, 6):
+        letters = [GaussLetter(c) for c in itertools.combinations(range(1, 7), size)]
+        for a in letters:
+            for b in letters:
+                if a != b:
+                    assert racg.commutes(a, b) == commutes_disjoint(a, b)
 
 
 def test_reduce_examples():
@@ -89,12 +98,11 @@ def test_equal_rejects_size_mismatch():
 
 def test_letter_multiset():
     w = gw(4, (1, 2), (3, 4), (1, 2))
-    assert letter_multiset(w.letters, racg.commutes) == Counter({tau(3, 4): 1})
     irreducible = gw(4, (1, 2), (1, 3))
-    assert letter_multiset(irreducible.letters, racg.commutes) == Counter(
-        irreducible.letters
-    )
-    assert letter_multiset(gw(2, (1, 2), (1, 2)).letters, racg.commutes) == Counter()
+    expected = [Counter({tau(3, 4): 1}), Counter(irreducible.letters), Counter()]
+    for v, counts in zip((w, irreducible, gw(2, (1, 2), (1, 2))), expected):
+        assert letter_multiset(v.letters, racg.commutes) == counts
+        assert Counter(racg.reduce_letters(v.letters)) == counts
 
 
 def test_reduction_confluence_random_orders():
@@ -102,7 +110,7 @@ def test_reduction_confluence_random_orders():
     for n in range(2, 6):
         for _ in range(100):
             w = random_gauss_word(n, 10, rng)
-            reference = racg.reduce_letters(w.letters, racg.commutes)
+            reference = racg.reduce_letters(w.letters)
             for _ in range(3):
                 current = list(w.letters)
                 while True:
@@ -119,8 +127,8 @@ def test_canonical_idempotent_and_move_invariant():
     rng = random.Random(5)
     for _ in range(200):
         w = random_gauss_word(4, 8, rng)
-        canonical = racg.canonical_letters(w.letters, racg.commutes)
-        assert racg.canonical_letters(canonical, racg.commutes) == canonical
+        canonical = racg.canonical_letters(w.letters)
+        assert racg.canonical_letters(canonical) == canonical
         # one random legal move: insert a square, delete a pair, or commute
         letters = list(w.letters)
         moves = [("insert", i) for i in range(len(letters) + 1)]
@@ -140,14 +148,14 @@ def test_canonical_idempotent_and_move_invariant():
             letters[i], letters[i + 1] = letters[i + 1], letters[i]
         else:
             del letters[i : i + 2]
-        assert racg.canonical_letters(letters, racg.commutes) == canonical
+        assert racg.canonical_letters(letters) == canonical
 
 
 def test_geodesic_property():
     rng = random.Random(6)
     for _ in range(200):
         w = random_gauss_word(4, 8, rng)
-        canonical = racg.canonical_letters(w.letters, racg.commutes)
+        canonical = racg.canonical_letters(w.letters)
         assert len(canonical) <= len(w.letters)
         irreducible = not cancellable_pairs(w.letters, racg.commutes)
         assert (len(canonical) == len(w.letters)) == irreducible
