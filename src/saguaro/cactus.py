@@ -183,21 +183,6 @@ def _span(strands: list[int], where: list[int]) -> tuple[int, int]:
     return p, q
 
 
-def _respell(n: int, masks: Iterable[int], where: list[int]) -> CactusWord:
-    """Spell each Gauss letter, given by its label mask, as the interval its
-    strands occupy, crossing it before the next is spelled.  where[s] is the
-    position of strand s; crossing a block p..q moves each of its strands to
-    the mirror position."""
-    out = []
-    for mask in masks:
-        strands = _strands(mask)
-        p, q = _span(strands, where)
-        out.append(CactusLetter(p, q))
-        for s in strands:
-            where[s] = p + q - where[s]
-    return CactusWord(n, tuple(out))
-
-
 def _bits(n: int) -> list[int]:
     return [1 << s for s in range(1, n + 1)]  # the start state, strand s labelled 2**s
 
@@ -207,6 +192,21 @@ def _push_reading(letters: Iterable[CactusLetter], labels: list[int],
     """Push the Gauss letters that `letters` read from a label state of bits,
     as label masks, onto a reduced word and return it."""
     return racg.push_masks(reduced, [sum(block) for _, block in walk(letters, labels)])
+
+
+def reduced_spans(w: CactusWord) -> Iterator[tuple[int, int]]:
+    """The spans (p, q) of the letters of reduce(w), lazily, after one push
+    of the reading.  Each Gauss letter, given by its label mask, is spelled
+    as the block its strands occupy and crossed before the next is spelled:
+    where[s] is the position of strand s, and crossing a block p..q moves
+    each of its strands to the mirror position."""
+    where = list(range(w.n + 1))
+    for mask in _push_reading(w.letters, _bits(w.n), []):
+        strands = _strands(mask)
+        p, q = _span(strands, where)
+        yield p, q
+        for s in strands:
+            where[s] = p + q - where[s]
 
 
 def reduce(w: CactusWord) -> CactusWord:
@@ -219,8 +219,7 @@ def reduce(w: CactusWord) -> CactusWord:
     >>> str(reduce(word(4, [(1, 4), (1, 2), (1, 4), (3, 4)])))
     ''
     """
-    reduced = _push_reading(w.letters, _bits(w.n), [])
-    return _respell(w.n, reduced, list(range(w.n + 1)))
+    return CactusWord(w.n, tuple(CactusLetter(p, q) for p, q in reduced_spans(w)))
 
 
 def canonical(w: CactusWord) -> CactusWord:

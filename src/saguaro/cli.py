@@ -24,6 +24,10 @@ from .subgroups import IntervalCollection
 # one allocates state per strand.  The library itself takes any n.
 MAX_STRANDS = 10_000
 
+# Largest collection `member` accepts, counted before it is built: checking
+# its symmetry compares every ordered pair of intervals, about 1 s at this size.
+MAX_INTERVALS = 2_500
+
 
 def _word_argument(parser: argparse.ArgumentParser, count: int = 1) -> None:
     parser.add_argument(
@@ -56,19 +60,28 @@ def _decision(value: bool) -> int:
     return 0 if value else 1
 
 
+def _check_size(what: str, count: int) -> None:
+    if count > MAX_INTERVALS:
+        raise SystemExit2(f"{what} has {count} intervals, more than the {MAX_INTERVALS} allowed")
+
+
 def _load_collection(args) -> IntervalCollection:
     if args.slice:
         try:
             i, j = (int(x) for x in args.slice.split(","))
         except ValueError:
             raise SystemExit2(f"--slice needs two integers i,j, got {args.slice!r}") from None
+        if 2 <= i <= j <= args.n:  # leaf number k has n - k + 1 intervals
+            _check_size(f"--slice {i},{j} at n={args.n}", (j - i + 1) * (2 * args.n + 2 - i - j) // 2)
         return IntervalCollection.slice(args.n, i, j)
     with open(args.collection, encoding="utf-8") as handle:
         try:
             pairs = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SystemExit2(f"--collection {args.collection}: not JSON: {exc}") from None
-    for pq in pairs if isinstance(pairs, list) else [pairs]:
+    pairs = pairs if isinstance(pairs, list) else [pairs]
+    _check_size(f"--collection {args.collection}", len(pairs))
+    for pq in pairs:
         if not (isinstance(pq, list) and len(pq) == 2 and all(type(x) is int for x in pq)):
             raise SystemExit2(f"--collection {args.collection}: expected a JSON list of"
                               f" [p,q] integer pairs, got {json.dumps(pq)}")

@@ -201,10 +201,14 @@ class _Tietze:
         self.clock = self.live = 0  # steps taken, candidates
         self.heap: list[tuple] = []
         index = {name: g for g, name in enumerate(p.generators, start=1)}
+        seen: set[IndexWord] = set()  # exact repeats share a key: skip them unkeyed
         for rid, rel in enumerate(p.relators):
             w = tuple(index[name] * sign for name, sign in cyclic_reduce(rel))
-            key = _class_key(w) if w else None
-            if w and key not in self.owner:
+            if not w or w in seen:
+                continue
+            seen.add(w)
+            key = _class_key(w)
+            if key not in self.owner:
                 self._add(rid, w, key)
         for g in self.occurs:
             self._count(g)

@@ -378,6 +378,13 @@ def check_subgroup_completeness(rng: random.Random, sizes: Sizes) -> list[str]:
         if canonical != cactus.canonical(base):
             failures.append(f"canonical form of {shifted} differs from that of {base}")
             break
+        if not subgroups.is_member(shifted, c22):
+            failures.append(f"twin word {shifted} rejected as a twin-group member")
+            break
+        outside = shifted * word(4, [(1, 3)])
+        if subgroups.is_member(outside, c22):
+            failures.append(f"{outside} accepted as a twin-group member")
+            break
     if subgroups.is_member(word(4, [(1, 3)]), c22):
         failures.append("s(1,3) accepted as a twin-group member")
     return failures

@@ -2,11 +2,11 @@
 Complete generator subsets and eraser homomorphisms of cactus groups.
 
 A collection of sub-intervals of [1, n] that is closed under reflecting
-nested intervals generates a subgroup in which membership is decidable by
-inspecting canonical forms: every relation move between letters of the
-collection stays inside the collection.  The slice collections (leaf number
-between i and j) are the motivating examples; the 2-leaf slice is the twin
-group.
+nested intervals generates a subgroup in which membership is decided from
+one reduced spelling: every relation move between letters of the collection
+stays inside the collection (see is_member).  The slice collections (leaf
+number between i and j) are the motivating examples; the 2-leaf slice is the
+twin group.
 
 Two erasers project away small leaves: one keeps the word (a split surjection
 onto the high-leaf slice), the other keeps only width-i crossing data plus
@@ -108,9 +108,16 @@ def symmetric_closure(c: IntervalCollection) -> IntervalCollection:
 def is_member(w: CactusWord, c: IntervalCollection) -> bool:
     """Membership in the subgroup generated by a symmetric collection.
 
-    Sound and complete because reductions and exchanges of words over the
-    collection never leave it, so the canonical form of a member spells only
-    collection letters.
+    Sound and complete from any reduced spelling, so from the spans of
+    cactus.reduced_spans, read until the first one outside the collection.
+    A member has a word over the collection, and reducing it by exchange
+    moves and cancellations stays over the collection: a symmetric
+    collection is closed under exchange moves.  Any two reduced Gauss words
+    of one element are joined by commutations (Tits' solution of the word
+    problem for Coxeter groups, Le probleme des mots dans les groupes de
+    Coxeter, 1969), and re-spelled, each commutation of disjoint or nested
+    label sets is an exchange move.  So every reduced spelling of a member
+    uses only collection letters.
 
     >>> c22 = IntervalCollection.slice(4, 2, 2)
     >>> is_member(cactus.word(4, [(1, 3)]), c22)
@@ -120,7 +127,7 @@ def is_member(w: CactusWord, c: IntervalCollection) -> bool:
         raise ValueError(f"size mismatch: word n={w.n}, collection n={c.n}")
     if not c.symmetric:
         raise ValueError("membership test requires a symmetric collection")
-    return all(letter in c for letter in cactus.canonical(w))
+    return all(span in c.intervals for span in cactus.reduced_spans(w))
 
 
 def eraser_slice(i: int, w: CactusWord) -> CactusWord:

@@ -24,8 +24,8 @@ tie-break wrapper around it, the dense textbook Smith normal form, the
 Kahn linearization that tests every pair of letters for an edge, the cactus
 canonical form whose key scans every position for a letter's strands, the
 one whose key reads those positions for every source at every Kahn step and
-spells the emitted letters in a second pass, and
-the indexed Tietze step, which rebuilds its occurrence index and re-costs
+spells the emitted letters in a second pass, the reduction that built a
+letter object per span, membership read from the canonical form, and the indexed Tietze step, which rebuilds its occurrence index and re-costs
 every candidate at each step, with the loop around it and the name-keyed
 helpers it reads; the stateful Tietze loop that kept every candidate's
 per-relator length changes, with the class key that built every rotation;
@@ -526,6 +526,58 @@ def key_canonical(w: CactusWord) -> CactusWord:
 
     front = generic_least_linearization(reduced, generic_masks_commute, key=span)
     return _key_respell(w.n, front, where)
+
+
+# Reduction as it was when the re-spelling built a letter per span and a word,
+# and membership as it was when it read the canonical form; names prefixed with
+# object_ or canonical_, bodies verbatim (the strands helper is _key_strands).
+
+
+def _object_span(strands: list[int], where: list[int]) -> tuple[int, int]:
+    """The block p..q that the strands occupy, strand s at position where[s]."""
+    positions = [where[s] for s in strands]
+    p, q = min(positions), max(positions)
+    assert q - p + 1 == len(strands), f"labels {strands} are not one block"
+    return p, q
+
+
+def _object_respell(n: int, masks: Iterable[int], where: list[int]) -> CactusWord:
+    """Spell each Gauss letter, given by its label mask, as the interval its
+    strands occupy, crossing it before the next is spelled.  where[s] is the
+    position of strand s; crossing a block p..q moves each of its strands to
+    the mirror position."""
+    out = []
+    for mask in masks:
+        strands = _key_strands(mask)
+        p, q = _object_span(strands, where)
+        out.append(CactusLetter(p, q))
+        for s in strands:
+            where[s] = p + q - where[s]
+    return CactusWord(n, tuple(out))
+
+
+def object_reduce(w: CactusWord) -> CactusWord:
+    """An irreducible word for the same cactus; empty iff the cactus is trivial.
+
+    >>> str(object_reduce(word(4, [(1, 4), (1, 2), (1, 4), (3, 4)])))
+    ''
+    """
+    reduced = cactus._push_reading(w.letters, cactus._bits(w.n), [])
+    return _object_respell(w.n, reduced, list(range(w.n + 1)))
+
+
+def canonical_is_member(w: CactusWord, c) -> bool:
+    """Membership in the subgroup generated by a symmetric collection.
+
+    Sound and complete because reductions and exchanges of words over the
+    collection never leave it, so the canonical form of a member spells only
+    collection letters.
+    """
+    if w.n != c.n:
+        raise ValueError(f"size mismatch: word n={w.n}, collection n={c.n}")
+    if not c.symmetric:
+        raise ValueError("membership test requires a symmetric collection")
+    return all(letter in c for letter in cactus.canonical(w))
 
 
 def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:

@@ -125,6 +125,48 @@ def test_member_bad_collection_names_file_and_entry(tmp_path, capsys, text, entr
     assert f"--collection {collection}: " in err and entry in err
 
 
+class _Unbuilt:
+    """Stands in for IntervalCollection: building a collection fails the test."""
+
+    @staticmethod
+    def slice(*args):
+        raise AssertionError("collection built")
+
+    of = slice
+
+
+def test_member_refuses_oversized_slice_before_building(monkeypatch, capsys):
+    # slice 2,4 at n = 6 has 5 + 4 + 3 = 12 intervals
+    monkeypatch.setattr(cli, "MAX_INTERVALS", 11)
+    monkeypatch.setattr(cli, "IntervalCollection", _Unbuilt)
+    code, out, err = run(capsys, "member", "-n", "6", "s(1,2)", "--slice", "2,4")
+    assert code == 2 and out == ""
+    assert "--slice 2,4 at n=6 has 12 intervals, more than the 11 allowed" in err
+    code, _, err = run(capsys, "member", "-n", "10000", "s(1,2)", "--slice", "2,10000")
+    assert code == 2 and "has 49995000 intervals" in err
+
+
+def test_member_accepts_slice_at_the_cap(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_INTERVALS", 12)
+    code, out, _ = run(capsys, "member", "-n", "6", "s(1,2) s(2,5)", "--slice", "2,4")
+    assert code == 0 and out.strip() == "true"
+
+
+def test_member_refuses_oversized_collection_file_before_building(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_INTERVALS", 2)
+    collection = tmp_path / "c.json"
+    collection.write_text(json.dumps([[1, 2], [1, 4], [3, 4]]))
+    word = ["member", "-n", "4", "s(1,2)", "--collection", str(collection)]
+    monkeypatch.setattr(cli, "IntervalCollection", _Unbuilt)
+    code, out, err = run(capsys, *word)
+    assert code == 2 and out == ""
+    assert f"--collection {collection} has 3 intervals, more than the 2 allowed" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_INTERVALS", 3)
+    code, out, _ = run(capsys, *word)
+    assert code == 0 and out.strip() == "true"
+
+
 def test_erase_and_decompose(capsys):
     code, out, _ = run(capsys, "erase", "-n", "4", "s(1,2) s(1,3)", "--min-leaf", "3")
     assert code == 0 and out.strip() == "s(1,3)"

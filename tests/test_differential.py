@@ -217,6 +217,72 @@ def test_canonical_computes_each_span_once(monkeypatch):
         assert len(calls) == len(reference)
 
 
+def test_reduce_matches_object_reduce():
+    # Spans spelled by a generator and wrapped into letters against the
+    # re-spelling that built the letters and the word itself.
+    rng = random.Random(49)
+    words = [long_word(rng, n, rng.choice((0, 1, 5, 20, 80))) for n in range(2, 25) for _ in range(10)]
+    words += list(structured_words())
+    for w in words:
+        assert cactus.reduce(w) == oracles.object_reduce(w)
+
+
+def member_collections(rng, n):
+    """Symmetric collections on n strands: random closures, slices and the twin slice."""
+    yield subgroups.IntervalCollection.slice(n, 2, 2)
+    for _ in range(3):
+        i = rng.randint(2, n)
+        yield subgroups.IntervalCollection.slice(n, i, rng.randint(i, n))
+    for _ in range(3):
+        seeds = [sampling.random_letter(n, rng) for _ in range(rng.randint(1, 3))]
+        yield subgroups.symmetric_closure(subgroups.IntervalCollection.of(n, [(x.p, x.q) for x in seeds]))
+
+
+def member_words(rng, c):
+    """(word, expected membership or None) pairs: words over the collection
+    scrambled by relation moves, which insert pairs x x of any letter; such a
+    word times a letter outside the collection; and random words."""
+    inside = sorted(c.intervals)
+    outside = [(p, q) for p in range(1, c.n) for q in range(p + 1, c.n + 1) if (p, q) not in c]
+    for _ in range(6):
+        m = word(c.n, [rng.choice(inside) for _ in range(rng.randint(0, 12))])
+        for _ in range(rng.randint(0, 10)):
+            m = sampling.random_move(m, rng)
+        yield m, True
+        if outside:
+            x = word(c.n, [rng.choice(outside)])
+            yield x * m, False
+            yield m * x * m.inverse(), False
+    for _ in range(6):
+        yield sampling.random_word(c.n, 12, rng), None
+
+
+def test_is_member_matches_canonical_oracle():
+    rng = random.Random(50)
+    for n in range(2, 25):
+        for c in member_collections(rng, n):
+            for w, expected in member_words(rng, c):
+                got = subgroups.is_member(w, c)
+                assert got == oracles.canonical_is_member(w, c), (w, sorted(c.intervals))
+                assert expected is None or got == expected, (w, sorted(c.intervals))
+
+
+def test_is_member_refuses_what_the_oracle_refuses():
+    rng = random.Random(51)
+    for n in range(3, 9):
+        for _ in range(20):
+            c = subgroups.IntervalCollection.of(n, [(x.p, x.q) for x in
+                                                   (sampling.random_letter(n, rng) for _ in range(3))])
+            w = sampling.random_word(n, 6, rng)
+            outcomes = []
+            for decide in (subgroups.is_member, oracles.canonical_is_member):
+                try:
+                    outcomes.append(decide(w, c))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+
+
 def test_least_linearization_matches_all_pairs_kahn_on_structured_words():
     tau = racg.tau
     disjoint_letters = [tau(2 * k + 1, 2 * k + 2) for k in range(12)]

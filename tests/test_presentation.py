@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from saguaro import cactus, presentation
+from saguaro import cactus, presentation, rschreier
 from saguaro.cactus import word
 from saguaro.presentation import (
     Presentation,
@@ -64,6 +64,27 @@ def test_tietze_budget_spends_no_extra_step(monkeypatch):
     assert len(calls) == 1
     assert result.steps == 1 and result.budget_exhausted
     assert len(result.presentation.generators) == 2
+
+
+def test_tietze_keys_each_distinct_relator_once(monkeypatch):
+    # builtin J4's Reidemeister-Schreier relators repeat words: 74 relators, 57 distinct
+    pres = builtin("J4")
+    t = rschreier.build_transversal(pres, rschreier.strand_images(pres, 4))
+    raw = Presentation(
+        tuple(g.name for g in rschreier.rs_generators(t)), tuple(rschreier.rs_relators(pres, t))
+    )
+    distinct = {cyclic_reduce(rel) for rel in raw.relators} - {()}
+    assert (len(raw.relators), len(distinct)) == (74, 57)
+    keyed = []
+    key = presentation._class_key
+
+    def counted(w):
+        keyed.append(w)
+        return key(w)
+
+    monkeypatch.setattr(presentation, "_class_key", counted)
+    presentation._Tietze(raw)
+    assert len(keyed) == len(set(keyed)) == len(distinct)
 
 
 def test_tietze_preserves_abelianization_each_step():
