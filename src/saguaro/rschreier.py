@@ -9,15 +9,15 @@ ones generate it.  Rewriting the conjugated relators k r k^-1 through the
 coset walk expresses a complete set of relations in these generators, which
 Tietze simplification then shrinks.
 
-Each transversal is a set of integer tables, built once.  The search composes
-raw image tuples; the coset action and its inverse are int lists indexed by
-generator position; each a_{k,x} is reduced by cancelling the common suffix
-of k x and kx-bar, and its name is formatted once, into one pair of letters
-(name, +-1) shared by every reader.  Relators are coded as column indices
-once and walked from every coset through one (next coset, letter, inverse
-letter) table, reducing freely as they go by comparing letters by identity.
-The rewriting function, the generator list, the relators and the expansion
-back into ambient words all read these tables.
+Each transversal keeps one step table.  The coset search composes raw image
+tuples into the coset action, by generator position.  One pass then reduces
+each a_{k,x} once, by cancelling the common suffix of k x and kx-bar, and
+writes both directions of its edge: x from k to kx, which rewrites to
+(name, 1), and x^-1 back from kx, which rewrites to (name, -1).
+Relators are coded as column indices once and walked from every coset through
+that table, reducing freely by comparing letters by identity.  The rewriting
+function, the generator list and the relators read the step table; expansion
+back into ambient words reads the reduced a_{k,x} by name.
 
 Generators carrying an x^2 relator are treated as involutions: ambient words
 spell x^-1 as x and cancel adjacent equal copies, so a_{k,x} counts as
@@ -61,26 +61,23 @@ class Transversal:
 
     Coset 0 is the subgroup itself; representatives are the breadth-first
     discovery words (generators tried in declaration order), hence positive
-    and prefix-closed.  Tables are indexed by coset k, then generator
-    position i: action[k][i] is the coset k x_i and inverse_action[k][i] that
-    of k x_i^-1; words[k][x] is a_{k,x} reduced, keyed by name; letters[k][i]
-    is the pair of letters (name, 1), (name, -1) of a_{k,x_i}, or None when
-    it is trivial.  steps[k][c] says where the letter coded c (see code)
-    leads from k: (that coset, the letter it rewrites to or None, the
-    inverse of that letter).
+    and prefix-closed.  action[k][i] is the coset k x_i.  steps[k][c] says
+    where the letter coded c (see code) leads from k: (that coset, the letter
+    it rewrites to or None, the inverse of that letter).  word_of_name maps
+    the name a_k<k+1>_<x> of every a_{k,x}, trivial ones included, to its
+    reduced ambient word.
     """
 
     def __init__(
         self,
         generators: tuple[str, ...],
         images: Mapping[str, Permutation],
-        involutive: frozenset[str] = frozenset(),
+        involutive: frozenset[str],
     ):
         sizes = {images[g].n for g in generators}
         if len(sizes) > 1:
             raise ValueError(f"images act on different sets: {sorted(sizes)}")
         self.generators = generators
-        self.images = dict(images)
         self.involutive = involutive
         self.position = {g: i for i, g in enumerate(generators)}
         # The images are valid Permutations, so the search composes their
@@ -103,40 +100,26 @@ class Transversal:
                     self.reps.append(self.reps[k] + ((g, 1),))
                 row.append(t)
             self.action.append(row)
-        self.inverse_action: list[list[int]] = [[0] * len(generators) for _ in self.reps]
-        for k, row in enumerate(self.action):
-            for i, t in enumerate(row):
-                self.inverse_action[t][i] = k
         # the ambient inverse of each representative, involutions positive
         inverted = [
             tuple((g, 1 if g in involutive else -1) for g, _ in reversed(rep))
             for rep in self.reps
         ]
-        self.words: list[dict[str, SignedWord]] = []
-        self.letters: list[list[tuple[tuple[str, int], tuple[str, int]] | None]] = []
+        # (k, x_i) fills column 2i of row k and column 2i + 1 of row t = k x_i;
+        # each column of action permutes the cosets, so every inverse step is
+        # written once.  Both share the letters rs_relators compares by identity.
         self.word_of_name: dict[str, SignedWord] = {}
-        for k, row in enumerate(self.action):
-            rep = self.reps[k]
-            words = {}
-            letters = []
-            for g, t in zip(generators, row):
+        self.steps: list[list[tuple]] = [[()] * (2 * len(generators)) for _ in self.reps]
+        for k, (rep, row) in enumerate(zip(self.reps, self.action)):
+            for i, (g, t) in enumerate(zip(generators, row)):
                 # rep x, with a final involutive x x cancelled
                 left = rep[:-1] if g in involutive and rep[-1:] == ((g, 1),) else rep + ((g, 1),)
-                w = words[g] = _kernel_word(left, self.reps[t], inverted[t])
-                name = self.name(k, g)
+                w = _kernel_word(left, self.reps[t], inverted[t])
+                name = f"a_k{k + 1}_{g}"
                 self.word_of_name[name] = w
-                letters.append(((name, 1), (name, -1)) if w else None)
-            self.words.append(words)
-            self.letters.append(letters)
-        self.steps: list[list[tuple]] = []
-        for k, row in enumerate(self.letters):
-            steps = []
-            for i, pair in enumerate(row):
-                steps.append((self.action[k][i], *(pair or (None, None))))
-                j = self.inverse_action[k][i]
-                back = self.letters[j][i]
-                steps.append((j, back[1], back[0]) if back else (j, None, None))
-            self.steps.append(steps)
+                letter, inverse = ((name, 1), (name, -1)) if w else (None, None)
+                self.steps[k][2 * i] = (t, letter, inverse)
+                self.steps[t][2 * i + 1] = (k, inverse, letter)
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -157,13 +140,6 @@ class Transversal:
             else:
                 out.append((name, sign))
         return tuple(out)
-
-    def rs_word(self, k: int, g: str) -> SignedWord:
-        """The kernel element a_{k,g} = (k g)(kg-bar)^-1, reduced."""
-        return self.words[k][g]
-
-    def name(self, k: int, g: str) -> str:
-        return f"a_k{k + 1}_{g}"
 
     def code(self, w: SignedWord) -> tuple[int, ...]:
         """w as columns of steps: 2i for x_i, 2i + 1 for its inverse."""
@@ -223,12 +199,12 @@ def build_transversal(p: Presentation, images: Mapping[str, Permutation]) -> Tra
 
 def rs_generators(t: Transversal) -> list[RSGenerator]:
     """All non-trivial subgroup generators a_{k,x}, with expanded words."""
-    out = []
-    for k, (row, words) in enumerate(zip(t.letters, t.words)):
-        for g, pair in zip(t.generators, row):
-            if pair:
-                out.append(RSGenerator(k, g, pair[0][0], words[g]))
-    return out
+    return [
+        RSGenerator(k, g, letter[0], t.word_of_name[letter[0]])
+        for k, steps in enumerate(t.steps)
+        for g, (_, letter, _) in zip(t.generators, steps[::2])
+        if letter
+    ]
 
 
 def rewrite(t: Transversal, w: SignedWord) -> SignedWord:

@@ -50,7 +50,7 @@ class IntervalCollection:
         if not 2 <= i <= j <= n:
             raise ValueError(f"need 2 <= i <= j <= n, got i={i} j={j} n={n}")
         return IntervalCollection.of(
-            n, ((p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1) if i <= q - p + 1 <= j)
+            n, ((p, p + k - 1) for k in range(i, j + 1) for p in range(1, n - k + 2))
         )
 
     def __contains__(self, item) -> bool:
@@ -74,9 +74,17 @@ def reflect(inner: Interval, outer: Interval) -> Interval:
 
 
 def _nested_pairs(c: IntervalCollection):
-    for inner, outer in itertools.permutations(c.intervals, 2):
-        if outer[0] <= inner[0] and inner[1] <= outer[1]:
-            yield inner, outer
+    """(inner, outer) for each member inside another.  Sorted by (p, -q), the
+    members inside [p, q] follow it and start before q, which ends each scan."""
+    ordered = sorted(c.intervals, key=lambda pq: (pq[0], -pq[1]))
+    for a, outer in enumerate(ordered):
+        q = outer[1]
+        for b in range(a + 1, len(ordered)):
+            inner = ordered[b]
+            if inner[0] >= q:
+                break
+            if inner[1] <= q:
+                yield inner, outer
 
 
 def is_symmetric(c: IntervalCollection) -> bool:

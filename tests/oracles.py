@@ -25,8 +25,10 @@ Kahn linearization that tests every pair of letters for an edge, the cactus
 canonical form whose key scans every position for a letter's strands, the
 one whose key reads those positions for every source at every Kahn step and
 spells the emitted letters in a second pass, the reduction that built a
-letter object per span, membership read from the canonical form, and the indexed Tietze step, which rebuilds its occurrence index and re-costs
-every candidate at each step, with the loop around it and the name-keyed
+letter object per span, membership read from the canonical form, the
+interval slice and nested pairs filtered from all pairs, and the indexed
+Tietze step, which rebuilds its occurrence index and re-costs every
+candidate at each step, with the loop around it and the name-keyed
 helpers it reads; the stateful Tietze loop that kept every candidate's
 per-relator length changes, with the class key that built every rotation;
 and the Reidemeister-Schreier transversal, generator list and rewriting that
@@ -69,6 +71,7 @@ from saguaro.presentation import (
 )
 from saguaro.racg import GaussLetter, GaussWord
 from saguaro.rschreier import RSGenerator
+from saguaro.subgroups import reflect
 
 
 def exchange_class(w: CactusWord) -> set[tuple]:
@@ -578,6 +581,36 @@ def canonical_is_member(w: CactusWord, c) -> bool:
     if not c.symmetric:
         raise ValueError("membership test requires a symmetric collection")
     return all(letter in c for letter in cactus.canonical(w))
+
+
+def slice_intervals(n: int, i: int, j: int) -> frozenset[tuple[int, int]]:
+    """The intervals of leaf number i..j, filtered from all n(n-1)/2 pairs."""
+    return frozenset(
+        (p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1) if i <= q - p + 1 <= j
+    )
+
+
+def nested_pairs(intervals) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Every (inner, outer) pair of distinct intervals with inner inside
+    outer, tested over all ordered pairs."""
+    return [
+        (inner, outer)
+        for inner, outer in itertools.permutations(intervals, 2)
+        if outer[0] <= inner[0] and inner[1] <= outer[1]
+    ]
+
+
+def is_symmetric(c) -> bool:
+    """Closed under reflecting nested intervals, over all ordered pairs."""
+    return all(reflect(*pair) in c.intervals for pair in nested_pairs(c.intervals))
+
+
+def symmetric_closure_intervals(c) -> frozenset[tuple[int, int]]:
+    """The least symmetric superset's intervals, over all ordered pairs."""
+    intervals = set(c.intervals)
+    while added := {reflect(*pair) for pair in nested_pairs(intervals)} - intervals:
+        intervals |= added
+    return frozenset(intervals)
 
 
 def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:

@@ -48,6 +48,35 @@ def test_order_huge_bound_decides_from_one_power(monkeypatch, capsys):
     assert len(calls) == 3
 
 
+def test_order_refuses_a_long_power_before_pushing(monkeypatch, capsys):
+    # s(1,2) s(1,4) has m = 4, so c^m has 8 letters
+    monkeypatch.setattr(cli, "MAX_POWER_LETTERS", 7)
+    monkeypatch.setattr(cactus, "_push_reading", None)
+    code, out, err = run(capsys, "order", "-n", "4", "s(1,2) s(1,4)")
+    assert code == 2 and out == ""
+    assert "c^4 has 8 letters, more than MAX_POWER_LETTERS = 7" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_POWER_LETTERS", 8)
+    code, out, _ = run(capsys, "order", "-n", "4", "s(1,2) s(1,4)")
+    assert code == 0 and out.strip() == "4"
+
+
+def test_order_above_the_bound_stays_absent_whatever_the_cap(monkeypatch, capsys):
+    # m = 3 exceeds --bound 2, so nothing is pushed and the cap does not apply
+    monkeypatch.setattr(cli, "MAX_POWER_LETTERS", 1)
+    code, out, _ = run(capsys, "order", "-n", "3", "s(1,2) s(1,3)", "--bound", "2")
+    assert code == 0 and out.strip() == "absent"
+
+
+def test_order_refuses_a_huge_strand_order_at_the_default_cap(capsys):
+    # strands cycle in blocks of 2, 3, 5, 7, 11 and 13: m = 30,030
+    blocks = [(1, 2), (3, 5), (6, 10), (11, 17), (18, 28), (29, 41)]
+    letters = [f"s({p},{q}) s({p},{q - 1})" if q - p > 1 else f"s({p},{q})" for p, q in blocks]
+    code, out, err = run(capsys, "order", "-n", "41", " ".join(letters), "--bound", "100000")
+    assert code == 2 and out == ""
+    assert f"c^30030 has {30030 * 11} letters" in err and "MAX_POWER_LETTERS" in err
+
+
 def test_word_commands_reject_huge_n_before_parsing(tmp_path, monkeypatch, capsys):
     def fail(*args):
         raise AssertionError("parse_cactus_word called")

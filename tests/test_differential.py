@@ -283,6 +283,46 @@ def test_is_member_refuses_what_the_oracle_refuses():
             assert outcomes[0] == outcomes[1]
 
 
+def test_slice_matches_all_pairs_filter():
+    for n in range(2, 13):
+        for i in range(2, n + 1):
+            for j in range(i, n + 1):
+                got = subgroups.IntervalCollection.slice(n, i, j).intervals
+                assert got == oracles.slice_intervals(n, i, j), (n, i, j)
+
+
+def random_collection(n: int, rng: random.Random) -> subgroups.IntervalCollection:
+    """Up to n + 3 intervals, about a third of them sharing a left end with an
+    earlier one, so that ties in the left end are common."""
+    intervals: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, n + 3)):
+        if intervals and rng.random() < 0.35:
+            p = rng.choice(intervals)[0]
+        else:
+            p = rng.randint(1, n - 1)
+        intervals.append((p, rng.randint(p + 1, n)))
+    return subgroups.IntervalCollection.of(n, intervals)
+
+
+def test_nested_pairs_match_all_ordered_pairs():
+    rng = random.Random(59)
+    symmetric = 0
+    for _ in range(600):
+        c = random_collection(rng.randint(2, 12), rng)
+        pairs = list(subgroups._nested_pairs(c))
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == set(oracles.nested_pairs(c.intervals)), sorted(c.intervals)
+        assert subgroups.is_symmetric(c) == oracles.is_symmetric(c)
+        closure = subgroups.symmetric_closure(c).intervals
+        assert closure == oracles.symmetric_closure_intervals(c)
+        symmetric += oracles.is_symmetric(c)
+    for n in range(2, 13):
+        for i in range(2, n + 1):
+            c = subgroups.IntervalCollection.slice(n, i, n)
+            assert sorted(subgroups._nested_pairs(c)) == sorted(oracles.nested_pairs(c.intervals))
+    assert 0 < symmetric < 600
+
+
 def test_least_linearization_matches_all_pairs_kahn_on_structured_words():
     tau = racg.tau
     disjoint_letters = [tau(2 * k + 1, 2 * k + 2) for k in range(12)]

@@ -84,16 +84,33 @@ def test_rs_relators_are_the_rewritten_conjugates():
         assert rs_relators(p, t) == expected
 
 
+def oracle_step(old: oracles.NamedTransversal, k: int, g: str, sign: int) -> tuple:
+    """Where g^sign leads from coset k in the oracle's tables: (that coset,
+    the letter it rewrites to or None, the inverse of that letter)."""
+    j = old.action[k][g] if sign == 1 else old.inverse_action[k][g]
+    edge = k if sign == 1 else j  # the coset whose a_{edge,g} this crosses
+    if not old.words[edge][g]:
+        return j, None, None
+    name = old.name(edge, g)
+    return j, (name, sign), (name, -sign)
+
+
 def assert_rs_matches_oracle(p: Presentation, images) -> tuple:
-    """The transversal, its a_{k,x} table, the RS generators and the
-    rewritten relators, in order, equal those of the name-keyed oracle."""
+    """The transversal, its step table in both directions, its a_{k,x}
+    words, the RS generators and the rewritten relators, in order, equal
+    those of the name-keyed oracle."""
     t = build_transversal(p, images)
     old = oracles.NamedTransversal(p.generators, images, involutive_generators(p))
     assert t.reps == old.reps
     for k in range(len(old)):
         assert t.action[k] == [old.action[k][g] for g in p.generators]
-        assert t.inverse_action[k] == [old.inverse_action[k][g] for g in p.generators]
-    assert t.words == old.words
+        expected = [oracle_step(old, k, g, sign) for g in p.generators for sign in (1, -1)]
+        assert t.steps[k] == expected
+        # both directions of an edge share its letters, which rs_relators
+        # compares by identity
+        for i, (j, letter, inverse) in enumerate(t.steps[k][::2]):
+            _, back, undo = t.steps[j][2 * i + 1]
+            assert back is inverse and undo is letter
     assert t.word_of_name == old.word_of_name
     assert rs_generators(t) == oracles.named_rs_generators(old)
     assert rs_relators(p, t) == oracles.named_rs_relators(p, old)

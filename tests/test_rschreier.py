@@ -94,10 +94,11 @@ def test_j4_nontrivial_generators(j4_transversal):
         "s14", "s12", "s13", "s12", "s14", "s12", "s13", "s12"
     )
     # every expanded word lies in the kernel
+    images = strand_images(builtin("J4"), 4)
     for g in gens:
         image = Permutation.identity(4)
         for name, _ in g.word:
-            image = image * j4_transversal.images[name]
+            image = image * images[name]
         assert image.is_identity()
 
 
@@ -167,8 +168,7 @@ def test_j4_pipeline_invariants(j4_transversal):
     def as_cactus(signed):
         letters = []
         for name, sign in signed:
-            _, coset, gen = name.split("_")
-            expanded = j4_transversal.rs_word(int(coset[1:]) - 1, gen)
+            expanded = j4_transversal.word_of_name[name]
             if sign == -1:
                 expanded = tuple(reversed(expanded))
             letters.extend((1, int(g[2])) for g, _ in expanded)
