@@ -11,9 +11,10 @@ rewriting happens on the Gauss side only: a cactus is trivial iff its reading
 reduces to the empty word, and u = v iff u v^-1 is trivial.  Reduced and
 canonical cactus words are re-spellings of the reduced and canonical Gauss
 words: replayed from the start, each Gauss letter finds its strands in one
-block of positions p..q and is spelled s(p, q).  The decisions label strand
-s by the bit 2**s, so a crossing's label mask is the sum of its block, and
-push the masks through racg.push_masks.
+block of positions p..q and is spelled s(p, q).  walk reads the diagram once
+into its list of crossed blocks.  The decisions label strand s by the bit
+2**s, so a crossing's label mask is the sum of its block, and push the masks
+through racg.push_masks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import dataclasses
 from collections.abc import Iterable, Iterator
 
 from . import racg
-from .perm import Permutation
+from .perm import Permutation, cycle_order
 from .racg import GaussLetter, GaussWord
 
 
@@ -110,15 +111,16 @@ class ReadResult:
     perm: Permutation
 
 
-def walk(letters: Iterable[CactusLetter],
-         labels: list[int]) -> Iterator[tuple[CactusLetter, list[int]]]:
+def walk(letters: Iterable[CactusLetter], labels: list[int]) -> list[list[int]]:
     """The diagram walk.  labels[pos - 1] labels the strand at position pos;
-    for each letter, yield it with the block of labels at positions p..q, then
-    reverse that block in place, so labels ends as the final label state."""
+    for each letter, record the block of labels at positions p..q and reverse
+    it in place.  Returns the blocks; labels ends as the final label state."""
+    blocks = []
     for letter in letters:
         block = labels[letter.p - 1 : letter.q]
-        yield letter, block
+        blocks.append(block)
         labels[letter.p - 1 : letter.q] = block[::-1]
+    return blocks
 
 
 def read_diagram(w: CactusWord) -> ReadResult:
@@ -130,7 +132,7 @@ def read_diagram(w: CactusWord) -> ReadResult:
     ('t{1,2} t{1,3,4} t{2,3,4}', '(4,3,1,2)')
     """
     labels = list(range(1, w.n + 1))
-    out = tuple(GaussLetter(tuple(sorted(block))) for _, block in walk(w.letters, labels))
+    out = tuple(GaussLetter(tuple(sorted(block))) for block in walk(w.letters, labels))
     return ReadResult(GaussWord(w.n, out), Permutation(tuple(labels)).inverse())
 
 
@@ -138,8 +140,7 @@ def s_image(w: CactusWord) -> Permutation:
     """The strand permutation of a word (the morphism the diagram induces),
     read from the final label state of the walk alone."""
     labels = list(range(1, w.n + 1))
-    for _ in walk(w.letters, labels):
-        pass
+    walk(w.letters, labels)
     return Permutation(tuple(labels)).inverse()
 
 
@@ -191,7 +192,7 @@ def _push_reading(letters: Iterable[CactusLetter], labels: list[int],
                   reduced: list[int]) -> list[int]:
     """Push the Gauss letters that `letters` read from a label state of bits,
     as label masks, onto a reduced word and return it."""
-    return racg.push_masks(reduced, [sum(block) for _, block in walk(letters, labels)])
+    return racg.push_masks(reduced, map(sum, walk(letters, labels)))
 
 
 def reduced_spans(w: CactusWord) -> Iterator[tuple[int, int]]:
@@ -231,8 +232,9 @@ def canonical(w: CactusWord) -> CactusWord:
     racg.reduction_dag), and there it is spelled under the current label
     state; the sources have distinct spellings, so the greedy choice is well
     defined and two words represent the same cactus iff their canonical forms
-    coincide letterwise.  Each source's span is computed once, when it is
-    released, and each letter is built as it is emitted.  Emitting x with
+    coincide letterwise.  Each source's strands and span are read once, when
+    it is released, into a tuple led by the span, so the least source is the
+    least tuple; each letter is built as it is emitted.  Emitting x with
     span (p, q) mirrors x's strands in p..q and moves no other.  Sources are
     joined by no edge, so they commute, and a remaining source y is disjoint
     from x (its strands stay put), contains x (its positions are permuted
@@ -247,25 +249,26 @@ def canonical(w: CactusWord) -> CactusWord:
     reduced = _push_reading(w.letters, _bits(w.n), [])
     successors, blockers = racg.reduction_dag(reduced)
     where = list(range(w.n + 1))
-    strands = {mask: _strands(mask) for mask in set(reduced)}
+    sources = []  # (p, q, j, strands of reduced[j]) per source j
+    for j, count in enumerate(blockers):
+        if not count:
+            strands = _strands(reduced[j])
+            sources.append((*_span(strands, where), j, strands))
     spelled: dict[tuple[int, int], CactusLetter] = {}
-    sources = {j: _span(strands[reduced[j]], where)
-               for j, count in enumerate(blockers) if not count}
     out = []
     while sources:
-        best = min(sources, key=sources.__getitem__)
-        p, q = span = sources.pop(best)
+        p, q, best, strands = min(sources)
         x = reduced[best]
-        for j, (a, b) in sources.items():
-            if reduced[j] | x == x:
-                sources[j] = (p + q - b, p + q - a)
-        out.append(spelled.get(span) or spelled.setdefault(span, CactusLetter(p, q)))
-        for s in strands[x]:
+        sources = [(p + q - b, p + q - a, j, s) if reduced[j] | x == x else (a, b, j, s)
+                   for a, b, j, s in sources if j != best]
+        out.append(spelled.get((p, q)) or spelled.setdefault((p, q), CactusLetter(p, q)))
+        for s in strands:
             where[s] = p + q - where[s]
         for j in successors[best]:
             blockers[j] -= 1
             if not blockers[j]:
-                sources[j] = _span(strands[reduced[j]], where)
+                strands = _strands(reduced[j])
+                sources.append((*_span(strands, where), j, strands))
     return CactusWord(w.n, tuple(out))
 
 
@@ -316,7 +319,7 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
         raise ValueError(f"need bound >= 1, got {bound}")
     labels = _bits(c.n)
     reduced = _push_reading(c.letters, labels, [])
-    m = Permutation(tuple(x.bit_length() - 1 for x in labels)).order()
+    m = cycle_order([x.bit_length() - 1 for x in labels])
     if m > bound:
         return None
     for _ in range(m - 1):

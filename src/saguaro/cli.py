@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from . import cactus, presentation, selftest, subgroups, syntax
+from . import cactus, presentation, subgroups, syntax
 from .presentation import abelianization, builtin
 from .render import render_svg
 from .rschreier import build_transversal, rs_generators, rs_relators, strand_images, verify_pj4
@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     _word_argument(eq, count=2)
 
     order = sub.add_parser(
-        "order", help="order of an element, exact; 'absent' if infinite or above --bound"
+        "order", help="order of an element, exact; 'infinite', or 'absent' if the order"
+        " of its strand permutation exceeds --bound"
     )
     _word_argument(order)
     order.add_argument("--bound", type=int, default=64)
@@ -201,7 +202,7 @@ def run(args: argparse.Namespace) -> int:
                 f"c^{m} has {m * len(w)} letters, more than MAX_POWER_LETTERS = {MAX_POWER_LETTERS}"
             )
         got = cactus.order(w, bound=args.bound)
-        print("absent" if got is None else got)
+        print("absent" if m > args.bound else "infinite" if got is None else got)
         return 0
     if args.command == "image":
         r = cactus.read_diagram(_parse_word(args))
@@ -249,6 +250,7 @@ def run(args: argparse.Namespace) -> int:
             handle.write(render_svg(w, labels=args.labels))
         return 0
     if args.command == "selftest":
+        from . import selftest  # imported on use, so no other command compiles it
         return 0 if selftest.run(quick=args.quick) else 1
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -82,22 +82,27 @@ class Permutation:
 
     def order(self) -> int:
         """Multiplicative order, the lcm of the cycle lengths."""
-        result = 1
-        seen = [False] * self.n
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            length = 0
-            i = start
-            while not seen[i - 1]:
-                seen[i - 1] = True
-                i = self.images[i - 1]
-                length += 1
-            result = result * length // math.gcd(result, length)
-        return result
+        return cycle_order(self.images)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.images) + ")"
+
+
+def cycle_order(images: Sequence[int]) -> int:
+    """The order of i -> images[i - 1], a permutation of {1, ..., n} in
+    one-line notation: the lcm of its cycle lengths."""
+    result = 1
+    seen = [False] * (len(images) + 1)
+    for start in range(1, len(images) + 1):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = images[i - 1]
+            length += 1
+        if length > 1:
+            result = math.lcm(result, length)
+    return result
 
 
 def flop_subgroup_order(n: int, i: int) -> int:

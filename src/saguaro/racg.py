@@ -95,8 +95,9 @@ def push_masks(out: list[int], masks: Iterable[int]) -> list[int]:
     cancellable pair, hence the invariant.
     """
     for mask in masks:
-        for i in range(len(out) - 1, -1, -1):
-            other = out[i]
+        i = len(out)
+        for other in reversed(out):
+            i -= 1
             if other == mask:
                 del out[i]
                 break

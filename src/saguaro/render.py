@@ -28,16 +28,17 @@ def render_svg(w: CactusWord, labels: bool = False) -> str:
     width = 2 * MARGIN + COLUMN * len(w.letters)
     height = 2 * MARGIN + TRACK * (w.n - 1) + (18 if labels and w.letters else 0)
     y = [MARGIN + TRACK * (pos - 1) for pos in range(w.n + 1)]  # y[pos] of track pos
+    ys = [f",{y_pos}" for y_pos in y]  # ",y" of track pos
     strands = range(1, w.n + 1)
     tracks = list(strands)  # tracks[pos - 1] = strand on that track
-    points = [[f"0,{y[strand]}"] for strand in range(w.n + 1)]  # "x,y" per strand
+    points = [[f"0,{y[strand]}"] for strand in range(w.n + 1)]  # "x,y ..." strings per strand
     texts = []
     x = MARGIN
-    for letter, block in walk(w.letters, tracks):
+    for letter, block in zip(w.letters, walk(w.letters, tracks)):
         p, q = letter.p, letter.q
-        middle = f"{x + COLUMN // 2},{(y[p] + y[q]) // 2}"
+        left, middle, right = str(x), f" {x + COLUMN // 2},{(y[p] + y[q]) // 2} ", str(x + COLUMN)
         for pos, strand in enumerate(block, start=p):
-            points[strand] += (f"{x},{y[pos]}", middle, f"{x + COLUMN},{y[p + q - pos]}")
+            points[strand].append(left + ys[pos] + middle + right + ys[p + q - pos])
         if labels:
             text = ",".join(map(str, sorted(block)))
             texts.append(f'<text x="{x + COLUMN // 2}" y="{height - 4}" font-family="monospace"'

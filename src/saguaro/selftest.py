@@ -1,8 +1,9 @@
 """
 The acceptance suite: one callable per criterion, runnable from the CLI
 (`saguaro selftest`) or from pytest.  Each check returns a list of failure
-messages; an empty list is a pass.  Batch sizes follow the stated criteria;
-quick mode shrinks the random batches (never the exhaustive parts).
+messages; an empty list is a pass, and the CLI prints each verdict with its
+wall time.  Batch sizes follow the stated criteria; quick mode shrinks the
+random batches and criterion 5's ball, never the other exhaustive parts.
 
 The random number generator is seeded (SAGUARO_SEED overrides the default),
 so runs are reproducible.
@@ -18,7 +19,7 @@ import time
 from collections.abc import Callable
 
 from . import cactus, racg, rschreier, sampling, subgroups
-from .cactus import CactusWord, word
+from .cactus import CactusLetter, CactusWord, word
 from .presentation import abelianization, builtin, positive_word
 from .racg import GaussLetter, tau
 from .rschreier import build_transversal, rs_generators, rs_presentation, strand_images
@@ -38,10 +39,12 @@ class Sizes:
     eraser_pairs: int = 1_000
     decompositions: int = 100
     trivial_words: int = 1_000
+    ball: tuple[int, int] = (5, 5)  # J_n and radius of criterion 5's ball, 10 s allowed
 
     @staticmethod
     def quick() -> Sizes:
         return Sizes(
+            ball=(4, 5),
             pairs=500,
             perturbations=500,
             torsion_words=100,
@@ -105,20 +108,48 @@ def check_torsion_parity(rng: random.Random, sizes: Sizes) -> list[str]:
         # right-angled Coxeter group, the only finite order besides 1 is 2.
         if not cactus.is_trivial(w) and cactus.is_trivial(w.power(2)):
             failures.append(f"pure element {w} has order 2")
+    start = time.monotonic()  # a ball: a finite order must be m and a power of two
+    n, radius = sizes.ball
+    ball = spheres(n, radius)
+    for w in itertools.chain.from_iterable(ball):
+        got = cactus.order(w, bound=64)
+        if got is not None and (got != cactus.s_image(w).order() or got & (got - 1)):
+            failures.append(f"order {got} of {w} is not m or not a power of two")
+    if (elapsed := time.monotonic() - start) >= 10:
+        failures.append(f"J{n} ball of radius {radius} took {elapsed:.1f}s (>= 10s)")
+    if (counts := [len(sphere) for sphere in ball[:4]]) != _sphere_sizes_by_moves(n, 3):
+        failures.append(f"J{n} sphere sizes {counts} differ from the relation-move closure's")
     return failures
+
+
+def spheres(n: int, radius: int) -> list[list[CactusWord]]:
+    """The spheres of J_n up to radius, breadth first over canonical forms:
+    sphere r + 1 holds the new canonical forms of sphere r times a generator."""
+    generators = [(CactusLetter(p, q),) for p in range(1, n) for q in range(p + 1, n + 1)]
+    out = [[CactusWord(n)]]
+    for r in range(radius):
+        products = (cactus.canonical(CactusWord(n, w.letters + g))
+                    for w in out[-1] for g in generators)
+        out.append(list({c.letters: c for c in products if len(c) > r}.values()))
+    return out
+
+
+def _sphere_sizes_by_moves(n: int, radius: int) -> list[int]:
+    """Sphere sizes of J_n up to radius, one element per component of the
+    relation-move closure of the words up to radius, as long as its shortest
+    word: cancellations and exchange moves reduce words and join reductions."""
+    letters = [CactusLetter(p, q) for p in range(1, n) for q in range(p + 1, n + 1)]
+    shortest: dict[int, int] = {}
+    for w, root in _rewriting_graph_components(letters, radius, cactus.exchange_left).items():
+        shortest.setdefault(root, len(w))  # the words come shortest first
+    return [list(shortest.values()).count(r) for r in range(radius + 1)]
 
 
 def check_centerless(rng: random.Random, sizes: Sizes) -> list[str]:
     failures = []
     gens = [word(4, [pq]) for pq in [(1, 2), (1, 3), (1, 4)]]
-    elements = {}
-    for length in range(4):
-        for pairs in itertools.product(J4_LETTERS, repeat=length):
-            c = cactus.canonical(word(4, pairs))
-            elements[c.letters] = c
-    central = [
-        c for c in elements.values() if all(cactus.commute(c, g) for g in gens)
-    ]
+    central = [c for c in itertools.chain.from_iterable(spheres(4, 3))
+               if all(cactus.commute(c, g) for g in gens)]
     if len(central) != 1 or central[0].letters != ():
         failures.append(f"central elements of length <= 3: {[str(c) for c in central]}")
     for n in range(3, 7):
@@ -177,22 +208,11 @@ _J4_SPOT_CHECKS = (
 # Identification relations among the seven surviving generator classes; each
 # maps to the identity of the four-strand cactus group.
 _J4_IDENTIFICATIONS = (
-    (
-        ("a_k7_s13", 1),
-        ("a_k23_s14", -1),
-        ("a_k16_s13", -1),
-        ("a_k12_s13", 1),
-        ("a_k13_s13", 1),
-        ("a_k15_s12", -1),
-    ),
+    (("a_k7_s13", 1), ("a_k23_s14", -1), ("a_k16_s13", -1),
+     ("a_k12_s13", 1), ("a_k13_s13", 1), ("a_k15_s12", -1)),
     (("a_k13_s13", 1), ("a_k18_s12", 1), ("a_k23_s14", 1)),
-    (
-        ("a_k7_s13", 1),
-        ("a_k18_s12", -1),
-        ("a_k12_s13", -1),
-        ("a_k16_s13", -1),
-        ("a_k15_s12", 1),
-    ),
+    (("a_k7_s13", 1), ("a_k18_s12", -1), ("a_k12_s13", -1),
+     ("a_k16_s13", -1), ("a_k15_s12", 1)),
 )
 
 _EXPECTED_TRANSVERSAL = [
@@ -250,10 +270,14 @@ def check_rs_j4(rng: random.Random, sizes: Sizes) -> list[str]:
     return failures
 
 
-def _rewriting_graph_components(letters: list[GaussLetter], max_length: int) -> dict:
-    """Union-find components of the (d1)/(d2) rewriting graph on all words up
-    to max_length over the given alphabet (creation allowed up to the cap)."""
-    commute = [[racg.commutes(a, b) for b in letters] for a in letters]
+def _rewriting_graph_components(letters: list, max_length: int, exchange: Callable) -> dict:
+    """Union-find components of the rewriting graph on all words up to
+    max_length over the given alphabet, words as tuples of letter indices:
+    x x cancels (creation allowed up to the cap), and x y, x != y, may be
+    rewritten to exchange(x, y) unless that is None."""
+    position = {x: k for k, x in enumerate(letters)}
+    moves = [[None if (e := exchange(a, b)) is None else tuple(position[x] for x in e)
+              for b in letters] for a in letters]
     index: dict[tuple[int, ...], int] = {}
     for length in range(max_length + 1):
         for w in itertools.product(range(len(letters)), repeat=length):
@@ -275,14 +299,16 @@ def _rewriting_graph_components(letters: list[GaussLetter], max_length: int) -> 
         for k in range(len(w) - 1):
             if w[k] == w[k + 1]:
                 union(i, index[w[:k] + w[k + 2 :]])
-            elif commute[w[k]][w[k + 1]]:
-                union(i, index[w[:k] + (w[k + 1], w[k]) + w[k + 2 :]])
+            elif (move := moves[w[k]][w[k + 1]]) is not None:
+                union(i, index[w[:k] + move + w[k + 2 :]])
     return {w: find(i) for w, i in index.items()}
 
 
 def check_racg_oracle(rng: random.Random, sizes: Sizes) -> list[str]:
     letters = [tau(1, 2), tau(1, 3), tau(3, 4), tau(1, 2, 3)]
-    components = _rewriting_graph_components(letters, max_length=8)
+    components = _rewriting_graph_components(
+        letters, 8, lambda a, b: (b, a) if racg.commutes(a, b) else None
+    )
     by_component: dict[int, tuple] = {}
     by_canonical: dict[tuple, int] = {}
     failures = []
@@ -417,9 +443,11 @@ def run(quick: bool = False, seed: int | None = None, emit=print) -> bool:
     seed = seed_from_env() if seed is None else seed
     all_ok = True
     for number, title, check in CHECKS:
+        start = time.perf_counter()
         failures = check(random.Random(seed + number), sizes)
+        elapsed = time.perf_counter() - start
         status = "ok  " if not failures else "FAIL"
-        emit(f"{status} {number:2d}  {title}")
+        emit(f"{status} {number:2d}  {title} ({elapsed:.2f} s)")
         for message in failures:
             emit(f"         {message}")
         all_ok = all_ok and not failures

@@ -164,10 +164,10 @@ def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
     if not 2 <= i <= w.n:
         raise ValueError(f"need 2 <= i <= n, got i={i} n={w.n}")
     labels = list(range(1, w.n + 1))
-    big = (letter for letter in w.letters if letter.leaf >= i)
+    big = [letter for letter in w.letters if letter.leaf >= i]
     letters = [
         GaussLetter(tuple(sorted(block)))
-        for letter, block in cactus.walk(big, labels)
+        for letter, block in zip(big, cactus.walk(big, labels))
         if letter.leaf == i
     ]
     reduced = racg.canonical_letters(letters)

@@ -31,8 +31,12 @@ Tietze step, which rebuilds its occurrence index and re-costs every
 candidate at each step, with the loop around it and the name-keyed
 helpers it reads; the stateful Tietze loop that kept every candidate's
 per-relator length changes, with the class key that built every rotation;
-and the Reidemeister-Schreier transversal, generator list and rewriting that
-walked dicts keyed by generator name.
+the Reidemeister-Schreier transversal, generator list and rewriting that
+walked dicts keyed by generator name; and the tiny-word kernels that ran on
+the generator walk of (letter, block) pairs: the push with an indexed
+backward scan, the canonical form with dict-keyed Kahn sources, the order
+that built a Permutation and the render that appended three strings per
+strand at each crossing.
 
 The last part holds helpers that only tests use: the cancellable pairs and
 letter multiset of a Gauss word, and the matcher of one-relator
@@ -56,7 +60,6 @@ from saguaro.cactus import (  # noqa: F401
     ReadResult,
     exchange_left,
     s_image,
-    walk,
     word,
 )
 from saguaro.perm import Permutation
@@ -71,7 +74,19 @@ from saguaro.presentation import (
 )
 from saguaro.racg import GaussLetter, GaussWord
 from saguaro.rschreier import RSGenerator
-from saguaro.subgroups import reflect
+from saguaro.subgroups import IntervalCollection, reflect
+
+
+def walk(letters: Iterable[CactusLetter],
+         labels: list[int]) -> Iterator[tuple[CactusLetter, list[int]]]:
+    """The diagram walk as a generator.  labels[pos - 1] labels the strand at
+    position pos; for each letter, yield it with the block of labels at
+    positions p..q, then reverse that block in place, so labels ends as the
+    final label state."""
+    for letter in letters:
+        block = labels[letter.p - 1 : letter.q]
+        yield letter, block
+        labels[letter.p - 1 : letter.q] = block[::-1]
 
 
 def exchange_class(w: CactusWord) -> set[tuple]:
@@ -774,6 +789,160 @@ def render_svg(w: CactusWord, labels: bool = False) -> str:
                 f'<text x="{_fmt(tx)}" y="{_fmt(ty)}" font-family="monospace"'
                 f' font-size="9" text-anchor="middle">{text}</text>'
             )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+# The tiny-word kernels as they were when the walk above was a generator of
+# (letter, block) pairs: the push that indexed its backward scan, the reading
+# and re-spelling on them, the canonical form whose Kahn sources were a dict
+# keyed by index over a strands table of every distinct mask, the order that
+# built a Permutation, with the cycle loop of Permutation.order, and the
+# render that appended three strings per strand at each crossing; names
+# prefixed with gen_, bodies verbatim but for calling this file's copies of
+# the helpers, with reduce and membership read from gen_reduced_spans.
+
+
+def gen_push_masks(out: list[int], masks: Iterable[int]) -> list[int]:
+    """Append masks one at a time to a reduced word, keeping it reduced."""
+    for mask in masks:
+        for i in range(len(out) - 1, -1, -1):
+            other = out[i]
+            if other == mask:
+                del out[i]
+                break
+            common = other & mask
+            if common and common != other and common != mask:
+                out.append(mask)
+                break
+        else:
+            out.append(mask)
+    return out
+
+
+def _gen_bits(n: int) -> list[int]:
+    return [1 << s for s in range(1, n + 1)]  # the start state, strand s labelled 2**s
+
+
+def _gen_push_reading(letters: Iterable[CactusLetter], labels: list[int],
+                      reduced: list[int]) -> list[int]:
+    """Push the Gauss letters that `letters` read from a label state of bits,
+    as label masks, onto a reduced word and return it."""
+    return gen_push_masks(reduced, [sum(block) for _, block in walk(letters, labels)])
+
+
+def gen_reduced_spans(w: CactusWord) -> Iterator[tuple[int, int]]:
+    """The spans (p, q) of the letters of reduce(w), lazily, after one push
+    of the reading."""
+    where = list(range(w.n + 1))
+    for mask in _gen_push_reading(w.letters, _gen_bits(w.n), []):
+        strands = _key_strands(mask)
+        p, q = _object_span(strands, where)
+        yield p, q
+        for s in strands:
+            where[s] = p + q - where[s]
+
+
+def gen_reduce(w: CactusWord) -> CactusWord:
+    return CactusWord(w.n, tuple(CactusLetter(p, q) for p, q in gen_reduced_spans(w)))
+
+
+def gen_is_member(w: CactusWord, c: IntervalCollection) -> bool:
+    return all(span in c.intervals for span in gen_reduced_spans(w))
+
+
+def gen_canonical(w: CactusWord) -> CactusWord:
+    """Canonical representative: one Kahn pass over the reduction DAG of the
+    reduced reading, each source's span kept in a dict keyed by its index."""
+    reduced = _gen_push_reading(w.letters, _gen_bits(w.n), [])
+    successors, blockers = generic_reduction_dag(reduced, generic_masks_commute)
+    where = list(range(w.n + 1))
+    strands = {mask: _key_strands(mask) for mask in set(reduced)}
+    spelled: dict[tuple[int, int], CactusLetter] = {}
+    sources = {j: _object_span(strands[reduced[j]], where)
+               for j, count in enumerate(blockers) if not count}
+    out = []
+    while sources:
+        best = min(sources, key=sources.__getitem__)
+        p, q = span = sources.pop(best)
+        x = reduced[best]
+        for j, (a, b) in sources.items():
+            if reduced[j] | x == x:
+                sources[j] = (p + q - b, p + q - a)
+        out.append(spelled.get(span) or spelled.setdefault(span, CactusLetter(p, q)))
+        for s in strands[x]:
+            where[s] = p + q - where[s]
+        for j in successors[best]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                sources[j] = _object_span(strands[reduced[j]], where)
+    return CactusWord(w.n, tuple(out))
+
+
+def gen_permutation_order(perm: Permutation) -> int:
+    """Multiplicative order, the lcm of the cycle lengths."""
+    result = 1
+    seen = [False] * perm.n
+    for start in range(1, perm.n + 1):
+        if seen[start - 1]:
+            continue
+        length = 0
+        i = start
+        while not seen[i - 1]:
+            seen[i - 1] = True
+            i = perm.images[i - 1]
+            length += 1
+        result = result * length // math.gcd(result, length)
+    return result
+
+
+def gen_order(c: CactusWord, bound: int = 64) -> int | None:
+    """Smallest k <= bound with c^k trivial, or None if there is none: m,
+    the order of the strand permutation read from the label state, if c^m
+    is trivial."""
+    if bound < 1:
+        raise ValueError(f"need bound >= 1, got {bound}")
+    labels = _gen_bits(c.n)
+    reduced = _gen_push_reading(c.letters, labels, [])
+    m = gen_permutation_order(Permutation(tuple(x.bit_length() - 1 for x in labels)))
+    if m > bound:
+        return None
+    for _ in range(m - 1):
+        _gen_push_reading(c.letters, labels, reduced)
+    return None if reduced else m
+
+
+def gen_render_svg(w: CactusWord, labels: bool = False) -> str:
+    """Render a word as SVG text; one polyline per strand."""
+    width = 2 * MARGIN + COLUMN * len(w.letters)
+    height = 2 * MARGIN + TRACK * (w.n - 1) + (18 if labels and w.letters else 0)
+    y = [MARGIN + TRACK * (pos - 1) for pos in range(w.n + 1)]  # y[pos] of track pos
+    strands = range(1, w.n + 1)
+    tracks = list(strands)  # tracks[pos - 1] = strand on that track
+    points = [[f"0,{y[strand]}"] for strand in range(w.n + 1)]  # "x,y" per strand
+    texts = []
+    x = MARGIN
+    for letter, block in walk(w.letters, tracks):
+        p, q = letter.p, letter.q
+        middle = f"{x + COLUMN // 2},{(y[p] + y[q]) // 2}"
+        for pos, strand in enumerate(block, start=p):
+            points[strand] += (f"{x},{y[pos]}", middle, f"{x + COLUMN},{y[p + q - pos]}")
+        if labels:
+            text = ",".join(map(str, sorted(block)))
+            texts.append(f'<text x="{x + COLUMN // 2}" y="{height - 4}" font-family="monospace"'
+                         f' font-size="9" text-anchor="middle">{{{text}}}</text>')
+        x += COLUMN
+    for pos, strand in enumerate(tracks, start=1):
+        points[strand].append(f"{width},{y[pos]}")
+
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
+             f' viewBox="0 0 {width} {height}">']
+    lines += (f'<polyline fill="none" stroke="black" stroke-width="2"'
+              f' points="{" ".join(points[strand])}"/>' for strand in strands)
+    if labels:
+        lines += (f'<text x="2" y="{y[strand] - 3}" font-family="monospace"'
+                  f' font-size="9">{strand}</text>' for strand in strands)
+        lines += texts
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

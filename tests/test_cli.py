@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from saguaro import cactus, cli, presentation, rschreier, syntax
+from saguaro import cactus, cli, presentation, rschreier, selftest, syntax
 from saguaro.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -29,7 +29,7 @@ def test_order_output(capsys):
     code, out, _ = run(capsys, "order", "-n", "4", "s(1,2) s(1,4)")
     assert code == 0 and out.strip() == "4"
     code, out, _ = run(capsys, "order", "-n", "3", "s(1,2) s(1,3)", "--bound", "32")
-    assert code == 0 and out.strip() == "absent"
+    assert code == 0 and out.strip() == "infinite"
 
 
 def test_order_huge_bound_decides_from_one_power(monkeypatch, capsys):
@@ -44,7 +44,7 @@ def test_order_huge_bound_decides_from_one_power(monkeypatch, capsys):
 
     monkeypatch.setattr(cactus, "_push_reading", counted)
     code, out, _ = run(capsys, "order", "-n", "3", "s(1,2) s(1,3)", "--bound", "1000000000000")
-    assert code == 0 and out.strip() == "absent"
+    assert code == 0 and out.strip() == "infinite"
     assert len(calls) == 3
 
 
@@ -336,6 +336,15 @@ def test_selftest_quick(capsys):
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 0
     assert out.count("ok  ") == 14
+
+
+def test_selftest_lines_end_with_the_criterion_time():
+    lines = []
+    assert selftest.run(quick=True, emit=lines.append)
+    assert len(lines) == 14
+    for line in lines:
+        head, _, seconds = line.rpartition(" (")
+        assert head.startswith("ok  ") and seconds.endswith(" s)") and float(seconds[:-3]) >= 0
 
 
 def test_usage_errors_exit_2(capsys):

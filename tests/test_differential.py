@@ -1,13 +1,14 @@
 """Differential tests of the Gauss-engine procedures against the exchange-move
 and greedy implementations they replaced, kept in oracles.py."""
 
+import collections
 import importlib
 import pkgutil
 import random
 
 import oracles
 import saguaro
-from saguaro import cactus, racg, render, sampling, subgroups
+from saguaro import cactus, racg, render, sampling, selftest, subgroups
 from saguaro.cactus import CactusLetter, word
 
 
@@ -475,3 +476,51 @@ def test_no_module_level_container_grows():
         cactus.equal(u, v)
         cactus.canonical(u)
     assert container_sizes() == before
+
+
+def tiny_word_kernel_inputs():
+    """Every element of the J4 ball of radius 5 and of the J5 ball of radius
+    4, as canonical forms, then the seeded long and structured words."""
+    for n, radius, sizes in ((4, 5, [1, 6, 20, 55, 145, 380]), (5, 4, [1, 10, 60, 305, 1481])):
+        ball = selftest.spheres(n, radius)
+        assert [len(sphere) for sphere in ball] == sizes
+        for sphere in ball:
+            yield from sphere
+    rng = random.Random(60)
+    yield from (long_word(rng, n, rng.choice((0, 1, 5, 20, 80, 300)))
+                for n in range(2, 25) for _ in range(6))
+    yield from (long_word(rng, n, 2000) for n in (2, 5, 12, 24))
+    yield from structured_words()
+
+
+def test_tiny_word_kernels_match_the_generator_walk_kernels():
+    # The list walk, the reversed push scan, the list-based Kahn pass, the
+    # permutation-free order and the one-string-per-crossing render against
+    # the kernels they replaced.
+    twins = {n: subgroups.IntervalCollection.slice(n, 2, 2) for n in range(2, 25)}
+    for w in tiny_word_kernel_inputs():
+        labels, old_labels = list(range(1, w.n + 1)), list(range(1, w.n + 1))
+        assert cactus.walk(w.letters, labels) == [block for _, block in oracles.walk(w.letters, old_labels)]
+        assert labels == old_labels
+        masks = list(map(sum, cactus.walk(w.letters, cactus._bits(w.n))))
+        assert racg.push_masks([], masks) == oracles.gen_push_masks([], masks)
+        assert cactus.canonical(w) == oracles.gen_canonical(w)
+        assert cactus.reduce(w) == oracles.gen_reduce(w)
+        for bound in (1, 2, 4, 64):
+            assert cactus.order(w, bound) == oracles.gen_order(w, bound)
+        assert subgroups.is_member(w, twins[w.n]) == oracles.gen_is_member(w, twins[w.n])
+        for with_labels in (False, True):
+            assert render.render_svg(w, with_labels) == oracles.gen_render_svg(w, with_labels)
+
+
+def test_ball_orders():
+    # J4 ball of radius 5: orders 1, 2 (76 elements), 4 (8) and infinite (522)
+    ball = [w for sphere in selftest.spheres(4, 5) for w in sphere]
+    orders = collections.Counter(cactus.order(w) for w in ball)
+    assert orders == {1: 1, 2: 76, 4: 8, None: 522}
+
+
+def test_sphere_sizes_by_relation_moves():
+    assert selftest._sphere_sizes_by_moves(4, 3) == [1, 6, 20, 55]
+    assert selftest._sphere_sizes_by_moves(5, 3) == [1, 10, 60, 305]
+    assert [len(sphere) for sphere in selftest.spheres(6, 3)] == [1, 15, 140, 1120]

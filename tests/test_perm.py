@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
+import oracles
 from oracles import closure_order
-from saguaro.perm import Permutation, flop_subgroup_order
+from saguaro.perm import Permutation, cycle_order, flop_subgroup_order
 
 
 def reversal(n, p, q):
@@ -109,3 +111,14 @@ def test_flop_subgroup_bounds():
         flop_subgroup_order(4, 1)
     with pytest.raises(ValueError):
         flop_subgroup_order(4, 5)
+
+
+def test_cycle_order_matches_the_permutation_cycle_loop():
+    # every permutation of up to 7 points, and larger random ones
+    rng = random.Random(3)
+    perms = [Permutation(images) for n in range(1, 8)
+             for images in itertools.permutations(range(1, n + 1))]
+    perms += [Permutation(tuple(rng.sample(range(1, n + 1), n))) for n in (20, 50) for _ in range(50)]
+    for perm in perms:
+        expected = oracles.gen_permutation_order(perm)
+        assert cycle_order(perm.images) == perm.order() == expected
