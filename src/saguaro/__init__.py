@@ -21,7 +21,7 @@ from .cactus import (
     torsion_witness,
     word,
 )
-from .perm import Permutation, flop_subgroup_order
+from .perm import Permutation
 from .presentation import Presentation, abelianization, builtin, tietze_simplify
 from .racg import GaussLetter, GaussWord, racg_canonical, racg_equal, racg_reduce, tau
 from .rschreier import build_transversal, rs_generators, rs_presentation, verify_pj4

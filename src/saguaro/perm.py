@@ -103,31 +103,3 @@ def cycle_order(images: Sequence[int]) -> int:
         if length > 1:
             result = math.lcm(result, length)
     return result
-
-
-def flop_subgroup_order(n: int, i: int) -> int:
-    """Order of the subgroup of S_n generated by all width-i interval reversals.
-
-    Computed by breadth-first closure; n is assumed small enough that the
-    closure fits in memory.
-
-    >>> flop_subgroup_order(4, 2)
-    24
-    >>> flop_subgroup_order(4, 4)
-    2
-    """
-    if not 2 <= i <= n:
-        raise ValueError(f"width {i} out of range for n={n}")
-    gens = [Permutation.interval_reversal(n, p, p + i - 1) for p in range(1, n - i + 2)]
-    seen = {Permutation.identity(n)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in gens:
-                x = g * h
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    return len(seen)

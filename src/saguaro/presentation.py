@@ -14,8 +14,7 @@ state kept between its steps (Havas, Kenne, Richardson and Robertson, A
 Tietze transformation program, 1984) that costs a candidate exactly only
 when a lower bound puts it first (Minoux, Accelerated greedy algorithms,
 1978).  The Smith normal form takes sparse exponent rows built straight
-from the relators, removes unit pivots first and leaves only a small
-remainder to the dense textbook algorithm.
+from the relators and runs one sparse elimination, unit pivots first.
 """
 
 from __future__ import annotations
@@ -420,123 +419,102 @@ def _exponent_rows(p: Presentation) -> list[dict[int, int]]:
 
 def exponent_matrix(p: Presentation) -> list[list[int]]:
     """Relator-by-generator matrix of exponent sums: _exponent_rows, dense."""
-    matrix = []
-    for sparse in _exponent_rows(p):
-        row = [0] * len(p.generators)
-        for j, v in sparse.items():
-            row[j] = v
-        matrix.append(row)
-    return matrix
+    columns = range(len(p.generators))
+    return [[row.get(j, 0) for j in columns] for row in _exponent_rows(p)]
 
 
 def smith_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Nonnegative diagonal of the Smith normal form, d1 | d2 | ... .
-
-    Relator matrices are large and sparse, with mostly unit entries: the
-    rows become {column: value} dicts, the form in which abelianization
-    builds them from the relators, and while some entry is +-1 it is taken
-    as a pivot, its column is cleared from the other rows, and its row and
-    column are dropped with a 1 recorded.  The pivot is taken in a shortest
-    row, from the column with fewest entries, to limit fill-in.  The textbook pivoting algorithm then runs on the
-    small remainder.  The Smith form is unique, so the pivot order does not
-    change the result.
+    """Nonnegative diagonal of the Smith normal form, d1 | d2 | ..., by
+    _sparse_smith_diagonal on the rows as {column: value} dicts.
 
     >>> smith_diagonal([[0, 2, 2, -2, 2]])
     [2]
     >>> smith_diagonal([[1, 2, 0], [3, 4, 0], [0, 0, 1]])
     [1, 1, 2]
+    >>> smith_diagonal([[6, 10, 15]]), smith_diagonal([[6], [10], [15]])
+    ([1], [1])
     """
     return _sparse_smith_diagonal([{j: v for j, v in enumerate(row) if v} for row in matrix])
 
 
 def _sparse_smith_diagonal(matrix: list[dict[int, int]]) -> list[int]:
-    """smith_diagonal of a matrix given as {column: value} rows without
-    zeros, such as _exponent_rows builds; the rows are consumed."""
-    rows = {i: row for i, row in enumerate(matrix) if row}
+    """smith_diagonal of {column: value} rows without zeros, such as
+    _exponent_rows builds from the relators; the rows are consumed.
+
+    Repeated rows are dropped, which keeps the row lattice.  Each sweep
+    visits the rows shortest first and pivots on entries of the least
+    absolute value, units first, in the column with fewest entries, to
+    limit fill-in (structured elimination, LaMacchia and Odlyzko, CRYPTO
+    1990).  The Smith form is unique, so the pivot order does not matter.
+    """
+    rows = dict(enumerate({tuple(row.items()): row for row in matrix if row}.values()))
     where: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             where.setdefault(j, set()).add(i)
-    units = 0
-    pivoted = True
-    while pivoted:
-        pivoted = False
+    diagonal: list[int] = []
+    least = 1
+    while rows:
+        pivots, done = (least, -least), len(diagonal)
         for i in sorted(rows, key=lambda i: len(rows[i])):
-            row = rows.get(i, {})
-            unit_columns = [j for j, v in row.items() if v in (1, -1)]
-            if not unit_columns:
-                continue
-            j = min(unit_columns, key=lambda j: len(where[j]))
-            for k in row:
-                where[k].discard(i)
-            unit = row.pop(j)
-            del rows[i]
-            for r in where.pop(j):
-                target = rows[r]
-                factor = target.pop(j) * unit
+            columns = [j for j, v in rows[i].items() if v in pivots] if i in rows else []
+            if columns:
+                j = min(columns, key=lambda j: len(where[j]))
+                diagonal.append(_eliminate(rows, where, i, j))
+        least = 1 if len(diagonal) > done else min(
+            abs(v) for row in rows.values() for v in row.values())
+    diagonal.sort()
+    # Enforce the divisibility chain: diag(a, b) ~ diag(gcd, lcm) over Z.
+    for i in range(diagonal.count(1), len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            if diagonal[j] % diagonal[i] != 0:
+                g = math.gcd(diagonal[i], diagonal[j])
+                diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
+    return diagonal
+
+
+def _eliminate(rows: dict[int, dict[int, int]], where: dict[int, set[int]], i: int, j: int) -> int:
+    """Clear the column of the pivot rows[i][j] by row operations, then its
+    row by column operations, which touch that row alone; drop both and
+    return the pivot's absolute value.  A remainder moves the pivot to the
+    least entry of its row and column: it shrinks, so the loop ends."""
+    while True:
+        row = rows.pop(i)
+        for k in row:
+            where[k].discard(i)
+        p = row.pop(j)
+        holders, where[j] = where[j], set()
+        for r in holders:
+            target = rows[r]
+            value = target.pop(j)
+            q = value // p
+            rem = value - q * p
+            if q:
                 for k, v in row.items():
-                    value = target.get(k, 0) - factor * v
+                    value = target.get(k, 0) - q * v
                     if value:
                         target[k] = value
                         where[k].add(r)
                     else:
                         del target[k]
                         where[k].discard(r)
-                if not target:
-                    del rows[r]
-            units += 1
-            pivoted = True
-    columns = sorted(j for j, holders in where.items() if holders)
-    return [1] * units + _textbook_diagonal(
-        [[row.get(j, 0) for j in columns] for row in rows.values()]
-    )
-
-
-def _textbook_diagonal(matrix: list[list[int]]) -> list[int]:
-    """smith_diagonal by row and column operations on a dense matrix."""
-    a = [row[:] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t] % a[t][t] != 0:
-                dirty = True
-            quotient = a[i][t] // a[t][t]
-            for j in range(t, cols):
-                a[i][j] -= quotient * a[t][j]
-        for j in range(t + 1, cols):
-            if a[t][j] % a[t][t] != 0:
-                dirty = True
-            quotient = a[t][j] // a[t][t]
-            for i in range(t, rows):
-                a[i][j] -= quotient * a[i][t]
-        if dirty or any(a[i][t] for i in range(t + 1, rows)) or any(
-            a[t][j] for j in range(t + 1, cols)
-        ):
-            continue
-        diag.append(abs(a[t][t]))
-        t += 1
-    # Enforce the divisibility chain: diag(a, b) ~ diag(gcd, lcm) over Z.
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            if diag[i] and diag[j] % diag[i] != 0:
-                g = math.gcd(diag[i], diag[j])
-                diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return diag
+            if rem:
+                target[j] = rem
+                where[j].add(r)
+            elif not target:
+                del rows[r]
+        if not where[j]:
+            if p == 1 or p == -1:
+                return 1
+            row = {k: v % p for k, v in row.items() if v % p}
+            if not row:
+                return abs(p)
+        row[j] = p
+        rows[i] = row
+        for k in row:
+            where[k].add(i)
+        i, j = min([(r, j) for r in where[j]] + [(i, k) for k in row],
+                   key=lambda entry: abs(rows[entry[0]][entry[1]]))
 
 
 def abelianization(p: Presentation) -> tuple[int, tuple[int, ...]]:

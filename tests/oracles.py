@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to freeze expected values in tests.
 
 These deliberately avoid the code paths they check: classes of words are
-enumerated by breadth-first search over single relation moves, and subgroup
-closures by plain multiplication, so canonical forms and reductions can be
-validated against exhaustive ground truth at small sizes.
+enumerated by breadth-first search over single relation moves, so canonical
+forms and reductions can be validated against exhaustive ground truth at
+small sizes.
 
 The second half keeps the earlier implementations that the Gauss engine
 replaced, as references for differential tests: the exchange-move reduction
@@ -20,7 +20,8 @@ powers, the reading that pushed integer strand labels one generic
 push_letter call at a time (and the decisions built on it), the SVG
 renderer that formatted float coordinates, the Tietze step that substitutes
 into every relator for every candidate, with the simplification loop, cleanup and descending-name
-tie-break wrapper around it, the dense textbook Smith normal form, the
+tie-break wrapper around it, the dense textbook Smith normal form and the
+unit-pivot sparse loop that handed it the remainder, the
 Kahn linearization that tests every pair of letters for an edge, the cactus
 canonical form whose key scans every position for a letter's strands, the
 one whose key reads those positions for every source at every Kahn step and
@@ -120,22 +121,6 @@ def commutation_class(w: GaussWord, commute) -> set[tuple]:
                     seen.add(neighbor)
                     queue.append(neighbor)
     return seen
-
-
-def closure_order(generators) -> int:
-    """Order of the permutation group generated by one-line image tuples."""
-    n = len(generators[0])
-    identity = tuple(range(1, n + 1))
-    seen = {identity}
-    queue = deque([identity])
-    while queue:
-        g = queue.popleft()
-        for h in generators:
-            x = tuple(h[g[i] - 1] for i in range(n))
-            if x not in seen:
-                seen.add(x)
-                queue.append(x)
-    return len(seen)
 
 
 def commutes(a: GaussLetter, b: GaussLetter) -> bool:
@@ -1498,6 +1483,51 @@ def smith_diagonal(matrix: list[list[int]]) -> list[int]:
                 g = math.gcd(diag[i], diag[j])
                 diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag
+
+
+def unit_pivot_smith_diagonal(matrix: list[dict[int, int]]) -> list[int]:
+    """smith_diagonal as the package computed it before its single sparse
+    loop: unit pivots on {column: value} rows, taken in a shortest row from
+    the column with fewest entries, then smith_diagonal above on the dense
+    remainder; the rows are consumed.  Body verbatim but for that call."""
+    rows = {i: row for i, row in enumerate(matrix) if row}
+    where: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    units = 0
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for i in sorted(rows, key=lambda i: len(rows[i])):
+            row = rows.get(i, {})
+            unit_columns = [j for j, v in row.items() if v in (1, -1)]
+            if not unit_columns:
+                continue
+            j = min(unit_columns, key=lambda j: len(where[j]))
+            for k in row:
+                where[k].discard(i)
+            unit = row.pop(j)
+            del rows[i]
+            for r in where.pop(j):
+                target = rows[r]
+                factor = target.pop(j) * unit
+                for k, v in row.items():
+                    value = target.get(k, 0) - factor * v
+                    if value:
+                        target[k] = value
+                        where[k].add(r)
+                    else:
+                        del target[k]
+                        where[k].discard(r)
+                if not target:
+                    del rows[r]
+            units += 1
+            pivoted = True
+    columns = sorted(j for j, holders in where.items() if holders)
+    return [1] * units + smith_diagonal(
+        [[row.get(j, 0) for j in columns] for row in rows.values()]
+    )
 
 
 # The Reidemeister-Schreier transversal and rewriting as they were when they

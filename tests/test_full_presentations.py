@@ -505,6 +505,29 @@ def random_matrix(rng: random.Random) -> list[list[int]]:
     return matrix
 
 
+def large_random_matrix(rng: random.Random) -> list[list[int]]:
+    """Up to 25 x 25, entries up to +-50, at a random density."""
+    rows, cols = rng.randint(1, 25), rng.randint(1, 25)
+    density = rng.random()
+    return [[rng.randint(-50, 50) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+# Repeated rows, a row with its negation, and matrices without a unit entry
+# whose first pivot leaves a remainder in its column or in its row.
+SMITH_CASES = [
+    ([[1, 2], [1, 2]], [1]),
+    ([[2, 4, 6], [2, 4, 6], [0, 3, 0]], [1, 6]),
+    ([[1, -1, 2], [-1, 1, -2]], [1]),
+    ([[3, 0], [-3, 0], [3, 0], [0, 2]], [1, 6]),
+    ([[2, 3], [4, 5]], [1, 2]),
+    ([[6, 10, 15]], [1]),
+    ([[6], [10], [15]], [1]),
+    ([[4, 6], [6, 9]], [1]),
+    ([[12, 18], [18, 30], [30, 42]], [6, 6]),
+]
+
+
 def test_smith_diagonal_matches_oracle():
     rng = random.Random(41)
     shapes = set()
@@ -516,8 +539,24 @@ def test_smith_diagonal_matches_oracle():
     assert any(r and not c for r, c in shapes)
     for matrix in ([], [[]], [[], []], [[0, 0], [0, 0]], [[0, 2, 0], [0, 0, 0], [0, 4, 6]]):
         assert smith_diagonal(matrix) == oracles.smith_diagonal(matrix)
+    for matrix, expected in SMITH_CASES:
+        assert smith_diagonal(matrix) == oracles.smith_diagonal(matrix) == expected, matrix
+    for _ in range(60):
+        matrix = large_random_matrix(rng)
+        assert smith_diagonal(matrix) == oracles.smith_diagonal(matrix), matrix
 
 
 def test_smith_diagonal_matches_oracle_on_rs_matrices(raw_j4):
     matrix = exponent_matrix(raw_j4)
     assert smith_diagonal(matrix) == oracles.smith_diagonal(matrix)
+
+
+def test_sparse_smith_diagonal_matches_the_unit_pivot_loop(raw_j4, j5):
+    """The single sparse loop against the unit-pivot loop it replaced, which
+    handed its remainder to the textbook algorithm, on the raw exponent rows
+    of J4 and of PJ5 (4,562 rows)."""
+    for raw, tail in ((raw_j4, [1, 2]), (j5[1], [1] + [2] * 6)):
+        new = presentation._sparse_smith_diagonal(presentation._exponent_rows(raw))
+        old = oracles.unit_pivot_smith_diagonal(presentation._exponent_rows(raw))
+        assert new == old
+        assert new[-len(tail):] == tail and set(new[:-len(tail)]) == {1}

@@ -4,8 +4,7 @@ import random
 import pytest
 
 import oracles
-from oracles import closure_order
-from saguaro.perm import Permutation, cycle_order, flop_subgroup_order
+from saguaro.perm import Permutation, cycle_order
 
 
 def reversal(n, p, q):
@@ -95,22 +94,6 @@ def test_rejects_non_permutation():
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
         Permutation((0, 1, 2))
-
-
-def test_flop_subgroup_orders():
-    assert flop_subgroup_order(4, 2) == 24
-    assert flop_subgroup_order(4, 4) == 2
-    # Width 3 on four strands: closure of the transpositions (13) and (24).
-    oracle = closure_order([(3, 2, 1, 4), (1, 4, 3, 2)])
-    assert oracle == 4
-    assert flop_subgroup_order(4, 3) == oracle
-
-
-def test_flop_subgroup_bounds():
-    with pytest.raises(ValueError):
-        flop_subgroup_order(4, 1)
-    with pytest.raises(ValueError):
-        flop_subgroup_order(4, 5)
 
 
 def test_cycle_order_matches_the_permutation_cycle_loop():
