@@ -27,7 +27,7 @@ from .perm import Permutation, cycle_order
 from .racg import GaussLetter, GaussWord
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class CactusLetter:
     """The generator s_{p,q}; it reverses positions p..q (its q-p+1 leaves)."""
 
@@ -56,7 +56,7 @@ class CactusLetter:
         return f"s({self.p},{self.q})"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CactusWord:
     """A word in the generators of J_n.  Words multiply by concatenation and,
     all generators being involutions, invert by reversal."""
@@ -101,7 +101,7 @@ def word(n: int, pairs: Iterable[tuple[int, int]]) -> CactusWord:
     return CactusWord(n, tuple(CactusLetter(p, q) for p, q in pairs))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ReadResult:
     """The two diagram readings of one word: its Gauss word and its strand
     permutation.  The pair is a group morphism into the virtual cactus group;
@@ -298,17 +298,22 @@ def geodesic_length(w: CactusWord) -> int:
 def order(c: CactusWord, bound: int = 64) -> int | None:
     """Smallest k <= bound with c^k trivial, or None if there is none.
 
-    Exact, from one power.  Let m be the order of the strand permutation of
-    c.  If c has finite order d, then m divides d, and c^m is pure.  The pure
-    cactus group is torsion-free, as the source paper shows; it is also the
-    fundamental group of the real moduli space of stable curves, which is
-    aspherical (Davis, Januszkiewicz and Scott, Fundamental groups of
-    blow-ups, Adv. Math. 2003).  So c^m, of finite order, is trivial and
-    d = m: c has finite order iff c^m is trivial, which the Gauss side
-    decides, a power being trivial iff its reduced reading is empty.  m is
-    read from the label state that pushing c leaves, then the other m - 1
-    copies are pushed; m can be as large as Landau's function of n, so the
-    bound guards them.
+    Exact, from the torsion theorem and at most one power.  Let m be the
+    order of the strand permutation of c.  If c has finite order d, then m
+    divides d, and c^m is pure.  The pure cactus group is torsion-free, as
+    the source paper shows; it is also the fundamental group of the real
+    moduli space of stable curves, which is aspherical (Davis, Januszkiewicz
+    and Scott, Fundamental groups of blow-ups, Adv. Math. 2003).  So c^m, of
+    finite order, is trivial and d = m.  The source paper also shows that J_n
+    has only even torsion: if c had order 2^a b with b odd and b > 1, then
+    c^(2^a) would have odd order b.  So a finite order is a power of two,
+    and when m is not one, c has infinite order.  m is read from the label
+    state of one walk of c.  If m exceeds the bound or is not a power of
+    two, nothing is pushed; otherwise c has finite order iff c^m is trivial,
+    which the Gauss side decides, a power being trivial iff its reduced
+    reading is empty.  The walk's blocks give the first copy and the other
+    m - 1 copies are pushed; a power of two that is the order of a
+    permutation of n points is one of its cycle lengths, so m <= n.
 
     >>> order(word(2, [(1, 2)]))
     2
@@ -318,10 +323,11 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
     labels = _bits(c.n)
-    reduced = _push_reading(c.letters, labels, [])
+    blocks = walk(c.letters, labels)
     m = cycle_order([x.bit_length() - 1 for x in labels])
-    if m > bound:
+    if m > bound or m & (m - 1):
         return None
+    reduced = racg.push_masks([], map(sum, blocks))
     for _ in range(m - 1):
         _push_reading(c.letters, labels, reduced)
     return None if reduced else m

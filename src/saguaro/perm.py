@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class Permutation:
     """A permutation of {1, ..., n} stored as its one-line image table.
 

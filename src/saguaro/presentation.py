@@ -27,7 +27,7 @@ import math
 SignedWord = tuple[tuple[str, int], ...]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Presentation:
     generators: tuple[str, ...]
     relators: tuple[SignedWord, ...]
@@ -353,7 +353,7 @@ def tietze_step(p: Presentation) -> Presentation | None:
     return state.presentation() if state.step() else None
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class SimplifiedPresentation:
     presentation: Presentation
     steps: int

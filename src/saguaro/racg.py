@@ -17,7 +17,7 @@ import dataclasses
 from collections.abc import Iterable, Sequence
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class GaussLetter:
     """An involution named by a label set of size >= 2, stored sorted.
 
@@ -49,7 +49,7 @@ def tau(*labels: int) -> GaussLetter:
     return GaussLetter(tuple(sorted(labels)))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class GaussWord:
     """A word in Gauss letters over n strands."""
 

@@ -166,7 +166,7 @@ def _kernel_word(left: SignedWord, target: SignedWord, inverted: SignedWord) -> 
     return left[:i] + inverted[len(target) - j :]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RSGenerator:
     coset: int
     gen: str
@@ -330,7 +330,7 @@ PJ4_MIXED_WORDS: dict[str, tuple[tuple[int, int], ...]] = {
 _BETA_ALT = ((1, 3), (1, 4), (1, 3), (1, 2), (1, 4), (1, 2), (1, 4))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Pj4Report:
     checks: tuple[tuple[str, bool], ...]
 

@@ -30,7 +30,7 @@ DEFAULT_SEED = 20251
 J4_LETTERS = [(p, q) for p in range(1, 5) for q in range(p + 1, 5)]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Sizes:
     pairs: int = 10_000
     perturbations: int = 10_000
@@ -96,25 +96,30 @@ def check_torsion_witnesses(rng: random.Random, sizes: Sizes) -> list[str]:
 
 
 def check_torsion_parity(rng: random.Random, sizes: Sizes) -> list[str]:
+    # order() returns None when m, the order of the strand permutation, is
+    # not a power of two (J_n has only even torsion); test that theorem here
+    # rather than assume it: c^m must then be non-trivial.
     failures = []
     for _ in range(sizes.torsion_words):
         w = sampling.random_word(4, 6, rng)
-        got = cactus.order(w, bound=64)
-        if got is not None and got & (got - 1):
-            failures.append(f"odd-ish order {got} for {w}")
+        m = cactus.s_image(w).order()
+        if m & (m - 1) and cactus.is_trivial(w.power(m)):
+            failures.append(f"c^{m} is trivial for {w}: an order that is not a power of two")
     for _ in range(sizes.pure_words):
         w = sampling.random_pure_word(4, 6, rng)
         # order() assumes PJ_n torsion-free; test it here directly: in a
         # right-angled Coxeter group, the only finite order besides 1 is 2.
         if not cactus.is_trivial(w) and cactus.is_trivial(w.power(2)):
             failures.append(f"pure element {w} has order 2")
-    start = time.monotonic()  # a ball: a finite order must be m and a power of two
+    start = time.monotonic()  # a ball: a finite order must be m, and m a power of two
     n, radius = sizes.ball
     ball = spheres(n, radius)
     for w in itertools.chain.from_iterable(ball):
-        got = cactus.order(w, bound=64)
-        if got is not None and (got != cactus.s_image(w).order() or got & (got - 1)):
-            failures.append(f"order {got} of {w} is not m or not a power of two")
+        m = cactus.s_image(w).order()
+        if m & (m - 1) and cactus.is_trivial(w.power(m)):
+            failures.append(f"c^{m} is trivial for {w}: an order that is not a power of two")
+        if (got := cactus.order(w, bound=64)) is not None and got != m:
+            failures.append(f"order {got} of {w} is not m = {m}")
     if (elapsed := time.monotonic() - start) >= 10:
         failures.append(f"J{n} ball of radius {radius} took {elapsed:.1f}s (>= 10s)")
     if (counts := [len(sphere) for sphere in ball[:4]]) != _sphere_sizes_by_moves(n, 3):

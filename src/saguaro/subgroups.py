@@ -28,7 +28,7 @@ from .racg import GaussLetter, GaussWord
 Interval = tuple[int, int]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)  # not slotted: cached_property needs a __dict__
 class IntervalCollection:
     """A set of sub-intervals [p, q] of [1, n]."""
 

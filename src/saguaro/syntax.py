@@ -9,11 +9,13 @@ Presentations:  chunks separated by newlines or ';', '#' starts a comment.
                 each "rels:" chunk contributes relators.  A relator is a
                 sequence of ident[^exp] terms, |exp| <= MAX_EXPONENT; an '='
                 chain "u = v = 1" adds the relators u, v (a side equal to
-                "1" is the empty word).
+                "1" is the empty word), all terms together at most
+                MAX_PRESENTATION_LETTERS letters once expanded.
 
 All generators of cactus and Gauss words are involutions, so exponents there
 are normalized modulo 2 at parse time.  Presentation relators live in a free
-group and keep their signs.
+group and keep their signs.  The word grammars share one tokenizer, one
+findall per word, which reports a syntax error before any term is checked.
 """
 
 from __future__ import annotations
@@ -38,33 +40,33 @@ class BoundsError(ValueError):
     """Structurally valid input naming an out-of-range interval or label."""
 
 
-_CACTUS_TERM = re.compile(r"s\(\s*(\d+)\s*,\s*(\d+)\s*\)(?:\^(-?\d+))?")
-_GAUSS_TERM = re.compile(r"t\{\s*(\d+(?:\s*,\s*\d+)*)\s*\}")
-_SPACE = re.compile(r"\s+")
+_CACTUS_TOKEN = re.compile(r"\s*(?:s\(\s*(\d+)\s*,\s*(\d+)\s*\)(?:\^(-?\d+))?|(\S.*))", re.DOTALL)
+_GAUSS_TOKEN = re.compile(r"\s*(?:(t\{\s*(\d+(?:\s*,\s*\d+)*)\s*\})|(\S.*))", re.DOTALL)
+_REL_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9.]*)(?:\^(-?\d+))?|1|(\S.*))", re.DOTALL)
 
 
-def _scan(text: str, term: re.Pattern) -> list[tuple[int, re.Match]]:
-    """Tokenize a whitespace-separated word, reporting the first bad offset."""
-    matches = []
-    pos = 0
-    while pos < len(text):
-        space = _SPACE.match(text, pos)
-        if space:
-            pos = space.end()
-            continue
-        m = term.match(text, pos)
-        if m is None:
-            raise WordSyntaxError(f"unexpected {text[pos]!r}", pos)
-        matches.append((pos, m))
-        pos = m.end()
-    return matches
+def _tokenize(token: re.Pattern, text: str) -> list[tuple[str, ...]]:
+    """The group tuples of the terms of a word.  token is \\s*(?:TERM|(\\S.*)):
+    its last group takes the rest of the text from the first character that
+    starts no term, which is reported.  Right-stripping the text keeps the
+    search from restarting at each trailing space."""
+    terms = token.findall(text.rstrip())
+    if terms and terms[-1][-1]:
+        raise WordSyntaxError(f"unexpected {terms[-1][-1][0]!r}", _term_start(token, text, len(terms) - 1))
+    return terms
+
+
+def _term_start(token: re.Pattern, text: str, i: int) -> int:
+    """The offset of term i of _tokenize(token, text), for error messages."""
+    m = list(token.finditer(text.rstrip()))[i]
+    return m.end() - len(m[0].lstrip())
 
 
 def parse_cactus_word(text: str, n: int) -> CactusWord:
     """Parse a cactus word over n strands.
 
     Generators are involutions: a term with exponent e contributes |e| mod 2
-    copies of its letter.
+    copies of its letter; one CactusLetter serves every term of one (p, q).
 
     >>> str(parse_cactus_word("s(1,2) s(2,4) s(1,3)", 4))
     's(1,2) s(2,4) s(1,3)'
@@ -74,12 +76,15 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
     if n < 2:
         raise BoundsError(f"need n >= 2, got {n}")
     letters = []
-    for pos, m in _scan(text, _CACTUS_TERM):
-        p, q = int(m.group(1)), int(m.group(2))
-        if not 1 <= p < q <= n:
-            raise BoundsError(f"s({p},{q}) out of bounds for n={n}")
-        exponent = 1 if m.group(3) is None else int(m.group(3))
-        letters.extend([CactusLetter(p, q)] * (abs(exponent) % 2))
+    spelled: dict[tuple[int, int], CactusLetter] = {}
+    for p, q, exponent, _ in _tokenize(_CACTUS_TOKEN, text):
+        pq = int(p), int(q)
+        if (letter := spelled.get(pq)) is None:
+            if not 1 <= pq[0] < pq[1] <= n:
+                raise BoundsError(f"s({pq[0]},{pq[1]}) out of bounds for n={n}")
+            letter = spelled[pq] = CactusLetter(*pq)
+        if not exponent or int(exponent) % 2:
+            letters.append(letter)
     return CactusWord(n, tuple(letters))
 
 
@@ -93,12 +98,12 @@ def parse_gauss_word(text: str, n: int) -> GaussWord:
     if n < 2:
         raise BoundsError(f"need n >= 2, got {n}")
     letters = []
-    for pos, m in _scan(text, _GAUSS_TERM):
-        labels = tuple(int(x) for x in re.split(r"\s*,\s*", m.group(1)))
+    for i, (term, labels_text, _) in enumerate(_tokenize(_GAUSS_TOKEN, text)):
+        labels = tuple(int(x) for x in re.split(r"\s*,\s*", labels_text))
         if sorted(set(labels)) != list(labels) or len(labels) < 2:
-            raise WordSyntaxError(f"labels must be distinct and ascending: {m.group(0)}", pos)
+            raise WordSyntaxError(f"labels must be distinct and ascending: {term}", _term_start(_GAUSS_TOKEN, text, i))
         if labels[0] < 1 or labels[-1] > n:
-            raise BoundsError(f"{m.group(0)} out of bounds for n={n}")
+            raise BoundsError(f"{term} out of bounds for n={n}")
         letters.append(GaussLetter(labels))
     return GaussWord(n, tuple(letters))
 
@@ -108,28 +113,32 @@ def format_gauss_word(w: GaussWord) -> str:
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9.]*")
-_REL_TERM = re.compile(r"([A-Za-z_][A-Za-z_0-9.]*)(?:\^(-?\d+))?|1")
 
 # Largest |e| of a presentation term x^e: the term becomes |e| letters, so a
 # larger one is refused before anything is allocated for it.
 MAX_EXPONENT = 10_000
+# Most letters the terms of one presentation may expand to, all relators
+# together: the term that would pass it is refused before it is expanded.
+MAX_PRESENTATION_LETTERS = 1_000_000
 
 
-def _parse_relator_side(text: str, generators: set[str], offset: int) -> SignedWord:
+def _parse_relator_side(text: str, generators: set[str], offset: int, room: int) -> SignedWord:
+    """One side of a relator, at most room letters long once expanded."""
     letters: list[tuple[str, int]] = []
-    for pos, m in _scan(text, _REL_TERM):
-        if m.group(0) == "1":
-            continue
-        name = m.group(1)
+    for i, (name, digits, _) in enumerate(_tokenize(_REL_TOKEN, text)):
+        if not name:
+            continue  # the empty word "1"
         if name not in generators:
-            raise WordSyntaxError(f"unknown generator {name!r}", offset + pos)
-        digits = m.group(2) or "1"
+            raise WordSyntaxError(f"unknown generator {name!r}", offset + _term_start(_REL_TOKEN, text, i))
+        term = f"{name}^{digits}" if digits else name
         magnitude = digits.lstrip("-").lstrip("0")
         if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude or 0) > MAX_EXPONENT:
-            raise WordSyntaxError(
-                f"exponent of {m.group(0)!r} exceeds {MAX_EXPONENT} in absolute value", offset + pos
-            )
-        exponent = int(digits)
+            raise WordSyntaxError(f"exponent of {term!r} exceeds {MAX_EXPONENT} in absolute value",
+                                  offset + _term_start(_REL_TOKEN, text, i))
+        exponent = int(digits or 1)
+        if len(letters) + abs(exponent) > room:
+            raise WordSyntaxError(f"{term!r} takes the relators past MAX_PRESENTATION_LETTERS = "
+                                  f"{MAX_PRESENTATION_LETTERS} letters", offset + _term_start(_REL_TOKEN, text, i))
         sign = 1 if exponent >= 0 else -1
         letters.extend([(name, sign)] * abs(exponent))
     return tuple(letters)
@@ -144,6 +153,7 @@ def parse_presentation(text: str) -> Presentation:
     """
     generators: list[str] = []
     relators: list[SignedWord] = []
+    room = MAX_PRESENTATION_LETTERS
     offset = 0
     chunks: list[tuple[int, str]] = []
     for raw_line in text.split("\n"):
@@ -166,7 +176,8 @@ def parse_presentation(text: str) -> Presentation:
         elif body.startswith("rels:"):
             start, sides = indent + len("rels:"), []
             for side in body[len("rels:") :].split("="):
-                sides.append(_parse_relator_side(side, set(generators), start))
+                sides.append(_parse_relator_side(side, set(generators), start, room))
+                room -= len(sides[-1])
                 start += len(side) + 1
             if len(sides) == 1:
                 relators.append(free_reduce(sides[0]))

@@ -37,7 +37,10 @@ walked dicts keyed by generator name; and the tiny-word kernels that ran on
 the generator walk of (letter, block) pairs: the push with an indexed
 backward scan, the canonical form with dict-keyed Kahn sources, the order
 that built a Permutation and the render that appended three strings per
-strand at each crossing.
+strand at each crossing; the order that pushed c^m whatever m, before the
+torsion theorem let it stop when m is not a power of two; and the word
+parsers that scanned each term with two regex calls, building a letter
+object per term.
 
 The last part holds helpers that only tests use: the cancellable pairs and
 letter multiset of a Gauss word, and the matcher of one-relator
@@ -50,6 +53,7 @@ import heapq
 import itertools
 import math
 import operator
+import re
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import TypeVar
@@ -63,7 +67,7 @@ from saguaro.cactus import (  # noqa: F401
     s_image,
     word,
 )
-from saguaro.perm import Permutation
+from saguaro.perm import Permutation, cycle_order
 from saguaro.presentation import (
     IndexWord,
     Presentation,
@@ -76,6 +80,7 @@ from saguaro.presentation import (
 from saguaro.racg import GaussLetter, GaussWord
 from saguaro.rschreier import RSGenerator
 from saguaro.subgroups import IntervalCollection, reflect
+from saguaro.syntax import MAX_EXPONENT, BoundsError, WordSyntaxError
 
 
 def walk(letters: Iterable[CactusLetter],
@@ -666,6 +671,23 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
         elif len(reduced) > (bound - k) * step:
             return None
     return None
+
+
+def m_power_order(c: CactusWord, bound: int = 64) -> int | None:
+    """Smallest k <= bound with c^k trivial, or None if there is none: m,
+    the order of the strand permutation read from the label state that
+    pushing c leaves, if c^m is trivial after the other m - 1 copies are
+    pushed, whether or not m is a power of two."""
+    if bound < 1:
+        raise ValueError(f"need bound >= 1, got {bound}")
+    labels = cactus._bits(c.n)
+    reduced = cactus._push_reading(c.letters, labels, [])
+    m = cycle_order([x.bit_length() - 1 for x in labels])
+    if m > bound:
+        return None
+    for _ in range(m - 1):
+        cactus._push_reading(c.letters, labels, reduced)
+    return None if reduced else m
 
 
 _BIT = (1).__lshift__  # label x -> 2**x
@@ -1681,6 +1703,123 @@ def named_rs_relators(p: Presentation, t: NamedTransversal) -> list[SignedWord]:
             if rewritten:
                 out.append(rewritten)
     return out
+
+
+_CACTUS_TERM = re.compile(r"s\(\s*(\d+)\s*,\s*(\d+)\s*\)(?:\^(-?\d+))?")
+_GAUSS_TERM = re.compile(r"t\{\s*(\d+(?:\s*,\s*\d+)*)\s*\}")
+_SPACE = re.compile(r"\s+")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9.]*")
+_REL_TERM = re.compile(r"([A-Za-z_][A-Za-z_0-9.]*)(?:\^(-?\d+))?|1")
+
+
+def scan_tokens(text: str, term: re.Pattern) -> list[tuple[int, re.Match]]:
+    """Tokenize a whitespace-separated word, reporting the first bad offset."""
+    matches = []
+    pos = 0
+    while pos < len(text):
+        space = _SPACE.match(text, pos)
+        if space:
+            pos = space.end()
+            continue
+        m = term.match(text, pos)
+        if m is None:
+            raise WordSyntaxError(f"unexpected {text[pos]!r}", pos)
+        matches.append((pos, m))
+        pos = m.end()
+    return matches
+
+
+def scan_parse_cactus_word(text: str, n: int) -> CactusWord:
+    """Parse a cactus word over n strands.
+
+    Generators are involutions: a term with exponent e contributes |e| mod 2
+    copies of its letter.
+    """
+    if n < 2:
+        raise BoundsError(f"need n >= 2, got {n}")
+    letters = []
+    for pos, m in scan_tokens(text, _CACTUS_TERM):
+        p, q = int(m.group(1)), int(m.group(2))
+        if not 1 <= p < q <= n:
+            raise BoundsError(f"s({p},{q}) out of bounds for n={n}")
+        exponent = 1 if m.group(3) is None else int(m.group(3))
+        letters.extend([CactusLetter(p, q)] * (abs(exponent) % 2))
+    return CactusWord(n, tuple(letters))
+
+
+def scan_parse_gauss_word(text: str, n: int) -> GaussWord:
+    """Parse a Gauss word over n strands, e.g. "t{1,2} t{1,3,4}"."""
+    if n < 2:
+        raise BoundsError(f"need n >= 2, got {n}")
+    letters = []
+    for pos, m in scan_tokens(text, _GAUSS_TERM):
+        labels = tuple(int(x) for x in re.split(r"\s*,\s*", m.group(1)))
+        if sorted(set(labels)) != list(labels) or len(labels) < 2:
+            raise WordSyntaxError(f"labels must be distinct and ascending: {m.group(0)}", pos)
+        if labels[0] < 1 or labels[-1] > n:
+            raise BoundsError(f"{m.group(0)} out of bounds for n={n}")
+        letters.append(GaussLetter(labels))
+    return GaussWord(n, tuple(letters))
+
+
+def _scan_relator_side(text: str, generators: set[str], offset: int) -> SignedWord:
+    letters: list[tuple[str, int]] = []
+    for pos, m in scan_tokens(text, _REL_TERM):
+        if m.group(0) == "1":
+            continue
+        name = m.group(1)
+        if name not in generators:
+            raise WordSyntaxError(f"unknown generator {name!r}", offset + pos)
+        digits = m.group(2) or "1"
+        magnitude = digits.lstrip("-").lstrip("0")
+        if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude or 0) > MAX_EXPONENT:
+            raise WordSyntaxError(
+                f"exponent of {m.group(0)!r} exceeds {MAX_EXPONENT} in absolute value", offset + pos
+            )
+        exponent = int(digits)
+        sign = 1 if exponent >= 0 else -1
+        letters.extend([(name, sign)] * abs(exponent))
+    return tuple(letters)
+
+
+def scan_parse_presentation(text: str) -> Presentation:
+    """Parse a presentation from the gens:/rels: chunk format."""
+    generators: list[str] = []
+    relators: list[SignedWord] = []
+    offset = 0
+    chunks: list[tuple[int, str]] = []
+    for raw_line in text.split("\n"):
+        line = raw_line.split("#", 1)[0]
+        start = offset
+        for piece in line.split(";"):
+            chunks.append((start, piece))
+            start += len(piece) + 1
+        offset += len(raw_line) + 1
+    for start, chunk in chunks:
+        body = chunk.strip()
+        if not body:
+            continue
+        indent = start + chunk.index(body[0])
+        if body.startswith("gens:"):
+            for name in body[len("gens:") :].split():
+                if not _IDENT.fullmatch(name):
+                    raise WordSyntaxError(f"bad generator name {name!r}", indent)
+                generators.append(name)
+        elif body.startswith("rels:"):
+            start, sides = indent + len("rels:"), []
+            for side in body[len("rels:") :].split("="):
+                sides.append(_scan_relator_side(side, set(generators), start))
+                start += len(side) + 1
+            if len(sides) == 1:
+                relators.append(free_reduce(sides[0]))
+            else:
+                # u1 = u2 = ... = uk: each side equals the last, typically "1".
+                last = sides[-1]
+                for side in sides[:-1]:
+                    relators.append(free_reduce(side + invert_word(last)))
+        else:
+            raise WordSyntaxError("expected 'gens:' or 'rels:'", indent)
+    return Presentation(tuple(generators), tuple(relators))
 
 
 def cancellable_pairs(letters: Sequence[L], commute: CommutationPredicate) -> list[tuple[int, int]]:

@@ -114,19 +114,24 @@ def test_order_examples():
 
 
 def test_order_pushes_m_copies_whatever_the_bound(monkeypatch):
-    # s(1,2) s(1,3) has infinite order and strand permutation order m = 3;
-    # push 4 raises, so a probe over further powers fails instead of hanging
-    calls = []
-    push = cactus._push_reading
+    # One walk reads m; the walk's blocks are the first copy of c^m and each
+    # further copy is one more walk.  s(1,2) s(1,3) has m = 3, not a power of
+    # two, so it is decided infinite from that walk alone; s(1,2) s(1,4) has
+    # m = 4 and takes four walks, however large the bound.
+    walks = []
+    walk = cactus.walk
 
     def counted(*args):
-        calls.append(None)
-        assert len(calls) <= 3, "more than m = 3 pushes"
-        return push(*args)
+        walks.append(None)
+        assert len(walks) <= 4, "more than m = 4 walks"
+        return walk(*args)
 
-    monkeypatch.setattr(cactus, "_push_reading", counted)
+    monkeypatch.setattr(cactus, "walk", counted)
     assert cactus.order(word(3, [(1, 2), (1, 3)]), bound=10**12) is None
-    assert len(calls) == 3
+    assert len(walks) == 1
+    walks.clear()
+    assert cactus.order(word(4, [(1, 2), (1, 4)]), bound=10**12) == 4
+    assert len(walks) == 4
 
 
 def test_torsion_witnesses():

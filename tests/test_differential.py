@@ -1,5 +1,6 @@
 """Differential tests of the Gauss-engine procedures against the exchange-move
-and greedy implementations they replaced, kept in oracles.py."""
+and greedy implementations they replaced, and of the word parsers against the
+scanning parsers, all kept in oracles.py."""
 
 import collections
 import importlib
@@ -8,7 +9,7 @@ import random
 
 import oracles
 import saguaro
-from saguaro import cactus, racg, render, sampling, selftest, subgroups
+from saguaro import cactus, racg, render, sampling, selftest, subgroups, syntax
 from saguaro.cactus import CactusLetter, word
 
 
@@ -475,6 +476,10 @@ def test_no_module_level_container_grows():
         u, v = long_word(rng, 12, 60), long_word(rng, 12, 60)
         cactus.equal(u, v)
         cactus.canonical(u)
+        syntax.parse_cactus_word(syntax.format_cactus_word(u), 12)
+        syntax.parse_gauss_word(syntax.format_gauss_word(cactus.read_diagram(v).gauss), 12)
+    for text in presentation_texts(random.Random(37), 50):
+        parse_outcome(syntax.parse_presentation, text)
     assert container_sizes() == before
 
 
@@ -524,3 +529,134 @@ def test_sphere_sizes_by_relation_moves():
     assert selftest._sphere_sizes_by_moves(4, 3) == [1, 6, 20, 55]
     assert selftest._sphere_sizes_by_moves(5, 3) == [1, 10, 60, 305]
     assert [len(sphere) for sphere in selftest.spheres(6, 3)] == [1, 15, 140, 1120]
+
+
+def test_order_matches_the_m_power_order():
+    # The torsion theorem decides a non-power-of-two m without a push; the
+    # oracle pushes c^m whatever m is.
+    words = [w for sphere in selftest.spheres(5, 5) for w in sphere]
+    rng = random.Random(61)
+    words += [sampling.random_word(n, 12, rng) for n in range(2, 13) for _ in range(300)]
+    mismatches = [(str(w), w.n, bound) for w in words for bound in (1, 2, 3, 4, 64)
+                  if cactus.order(w, bound) != oracles.m_power_order(w, bound)]
+    assert mismatches == []
+
+
+SPACES = ("", " ", "  ", "\t", "\n", " \n\t ", "\u00a0", "\u2003")
+
+
+def exponent(rng):
+    """Exponent text: absent, small, negative, zero, leading zeros, over 9 digits."""
+    return rng.choice(("", "", "", "^2", "^-1", "^-3", "^0", "^-0", "^007", "^-0010",
+                       f"^{rng.randint(10**9, 10**13)}", f"^-{rng.randint(10**9, 10**13)}"))
+
+
+def garble(rng, text):
+    """Sometimes insert one stray character into text."""
+    if text and rng.random() < 0.2:
+        i = rng.randrange(len(text) + 1)
+        return text[:i] + rng.choice("x?^(,)-1}{;é") + text[i:]
+    return text
+
+
+def cactus_texts(rng, count):
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        terms = []
+        for _ in range(rng.randint(0, 12)):
+            p = rng.randint(1, n - 1)
+            q = rng.randint(p + 1, n) if rng.random() > 0.05 else n + 1
+            zeros = "0" * rng.choice((0, 0, 0, 1, 3))
+            pad = [rng.choice(SPACES) for _ in range(4)]
+            terms.append(f"s({pad[0]}{zeros}{p}{pad[1]},{pad[2]}{q}{pad[3]}){exponent(rng)}")
+        text = rng.choice(SPACES) + "".join(t + rng.choice(SPACES[1:] + ("",)) for t in terms)
+        yield garble(rng, text), n
+
+
+def gauss_texts(rng, count):
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        terms = []
+        for _ in range(rng.randint(0, 8)):
+            labels = sorted(rng.sample(range(1, n + 2), rng.randint(2, min(n, 4))))
+            if rng.random() < 0.05:
+                labels.reverse()
+            pad = rng.choice(SPACES)
+            terms.append("t{" + pad + f"{pad},{pad}".join(map(str, labels)) + "}")
+        yield garble(rng, rng.choice(SPACES).join(terms) + rng.choice(SPACES)), n
+
+
+def presentation_texts(rng, count):
+    for _ in range(count):
+        names = rng.sample(["x", "y", "z1", "a.b", "_g"], rng.randint(1, 4))
+        chunks = ["gens: " + " ".join(names)]
+        for _ in range(rng.randint(0, 5)):
+            sides = []
+            for _ in range(rng.randint(1, 3)):
+                terms = [rng.choice(names + ["1", "w"]) for _ in range(rng.randint(0, 5))]
+                sides.append(" ".join(t + exponent(rng) if t != "1" else t for t in terms))
+            chunks.append("rels: " + rng.choice(SPACES) + " = ".join(sides))
+        if rng.random() < 0.2:
+            chunks.append("# " + rng.choice(names))
+        yield garble(rng, "".join(c + rng.choice(("\n", "; ", "\n\n")) for c in chunks))
+
+
+MALFORMED = [
+    ("cactus", "s(1,9) x", 4), ("cactus", "s(1,2", 4), ("cactus", "s(1,2)^", 4),
+    ("cactus", "s(1,2)^+1", 4), ("cactus", "S(1,2)", 4), ("cactus", "s (1,2)", 4),
+    ("cactus", "s(1;2)", 4), ("cactus", "s(3,2)", 4), ("cactus", "s(0,2)", 4),
+    ("cactus", "s(1,2)s(2,3)", 4), ("cactus", "s(1,2) s(1,5)^2 s(", 4),
+    ("cactus", "\n\n s(1,2)\t?", 4), ("cactus", "s(1,9)^2 s(1,2)", 4), ("cactus", "s(1,2) x", 1),
+    ("cactus", "s(\u0661,\u0662)", 4), ("cactus", "s(1,2)^" + "1" * 5000, 4),
+    ("cactus", "s(1,2)" + " " * 20_000, 4), ("cactus", "é" + " " * 20_000, 4),
+    ("gauss", "t{1,9} t{2,1} t{", 4), ("gauss", "t{2,1}", 4), ("gauss", "t{1,1}", 4),
+    ("gauss", "t{1}", 4), ("gauss", "t{1,5}", 4), ("gauss", "t{0,1}", 4), ("gauss", "t{1,2}x", 4),
+    ("gauss", "t{ 1 , 2 }t{3,4}", 4), ("gauss", "t{1,2,}", 4), ("gauss", "t{1,2} t{2,1}", 1),
+    ("gauss", "t{1,2} t{2,1}" + " " * 20_000, 4),
+    ("presentation", "gens: x; rels: y x^", 0), ("presentation", "gens: x\nrels: x y", 0),
+    ("presentation", "gens: x y\nrels: x^2 = y^-0003 = 1 # c", 0),
+    ("presentation", "gens: x; rels: x^10001", 0), ("presentation", "gens: x; rels: x^" + "9" * 12, 0),
+    ("presentation", "gens: 1x", 0), ("presentation", "rels: x", 0), ("presentation", "foo: x", 0),
+    ("presentation", "gens: x; rels: 12", 0), ("presentation", "gens: x; rels: x 1 x^-1", 0),
+    ("presentation", "gens: x.y _z; rels: x.y^2 _z^-1 = 1", 0),
+    ("presentation", "gens: x; rels: x^2 = ", 0), ("presentation", "gens: x; rels: = x ?", 0),
+    ("presentation", "gens: x\nrels: x^2 = x = y", 0), ("presentation", "gens: x; rels: x^-", 0),
+]
+
+
+def parse_outcome(parse, *args):
+    """The parse result, or the class, message and position of its error."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+PARSERS = {
+    "cactus": (syntax.parse_cactus_word, oracles.scan_parse_cactus_word),
+    "gauss": (syntax.parse_gauss_word, oracles.scan_parse_gauss_word),
+    "presentation": (lambda text, _: syntax.parse_presentation(text),
+                     lambda text, _: oracles.scan_parse_presentation(text)),
+}
+
+
+def test_parsers_match_the_scanning_parsers():
+    # The one-findall tokenizer against the scanner that made two regex
+    # calls per term: equal results, or errors of one class, message and
+    # position.
+    rng = random.Random(62)
+    corpus = list(MALFORMED)
+    corpus += [("cactus", text, n) for text, n in cactus_texts(rng, 3000)]
+    corpus += [("gauss", text, n) for text, n in gauss_texts(rng, 1500)]
+    corpus += [("presentation", text, 0) for text in presentation_texts(rng, 1500)]
+    outcomes = collections.Counter()
+    for grammar, text, n in corpus:
+        new, old = PARSERS[grammar]
+        got = parse_outcome(new, text, n)
+        assert got == parse_outcome(old, text, n), (grammar, text, n)
+        outcomes[grammar, got[0].__name__ if isinstance(got, tuple) else "ok"] += 1
+    # the corpus reaches every kind of outcome in every grammar
+    for grammar in PARSERS:
+        for kind in ("ok", "WordSyntaxError"):
+            assert outcomes[grammar, kind] > 20, (grammar, kind, outcomes)
+    assert outcomes["cactus", "BoundsError"] > 20 and outcomes["gauss", "BoundsError"] > 20

@@ -38,6 +38,27 @@ def test_parse_errors_located():
         syntax.parse_cactus_word("", 1)
 
 
+def test_syntax_errors_come_before_bounds_errors():
+    # the whole word is tokenized before any term is checked
+    for text, position in (("s(1,9) x", 7), ("s(1,9)^2 s(2,3)\n  ?", 18), ("s(5,2) s(1,2", 7)):
+        with pytest.raises(WordSyntaxError) as info:
+            syntax.parse_cactus_word(text, 4)
+        assert info.value.position == position
+    with pytest.raises(WordSyntaxError) as info:
+        syntax.parse_gauss_word("t{1,9} t{2,1} t{", 4)
+    assert info.value.position == 14
+
+
+def test_parsed_word_holds_one_letter_per_spelling():
+    w = syntax.parse_cactus_word("s(1,2) s(2,4) s(01,2) s(2,4)^-3 s(1, 2)^0 s(3,4) s(1,002)", 4)
+    assert str(w) == "s(1,2) s(2,4) s(1,2) s(2,4) s(3,4) s(1,2)"
+    assert len({id(letter) for letter in w.letters}) == len(set(w.letters)) == 3
+    rng = random.Random(21)
+    for _ in range(200):
+        w = syntax.parse_cactus_word(syntax.format_cactus_word(random_word(5, 12, rng)), 5)
+        assert len({id(letter) for letter in w.letters}) == len(set(w.letters))
+
+
 def test_format_word_examples():
     assert syntax.format_cactus_word(word(2, [(1, 2)])) == "s(1,2)"
     assert syntax.format_cactus_word(CactusWord(4)) == ""
@@ -116,6 +137,34 @@ def test_parse_presentation_exponents_up_to_the_cap():
     cap = syntax.MAX_EXPONENT
     p = syntax.parse_presentation(f"gens: x; rels: x^-{cap}; rels: x^000003 x^0 x^-0")
     assert p.relators == ((("x", -1),) * cap, (("x", 1),) * 3)
+
+
+def test_parse_presentation_refuses_the_term_past_the_letter_cap(monkeypatch):
+    monkeypatch.setattr(syntax, "MAX_PRESENTATION_LETTERS", 6)
+    # every term counts as it is written, across relators and '=' sides
+    p = syntax.parse_presentation("gens: x y; rels: x^2; rels: x y = y x^-1")
+    assert len(p.relators) == 2
+    text = "gens: x y\nrels: x^2 y^-2\nrels: y x^3 = 1"
+    with pytest.raises(WordSyntaxError, match="'x\\^3' takes the relators past") as info:
+        syntax.parse_presentation(text)
+    assert info.value.position == text.index("x^3")
+    monkeypatch.setattr(syntax, "MAX_PRESENTATION_LETTERS", 8)
+    assert len(syntax.parse_presentation(text).relators) == 2
+
+
+def test_parse_presentation_refuses_past_the_letter_cap_before_expanding(monkeypatch):
+    monkeypatch.setattr(syntax, "MAX_PRESENTATION_LETTERS", 10)
+    cap = syntax.MAX_EXPONENT
+    text = f"gens: x\nrels: x^10\nrels: x^{cap}\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordSyntaxError) as info:
+            syntax.parse_presentation(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.position == text.rindex("x^")
+    assert peak < 8 * cap  # less than a list of the refused term's letters
 
 
 def test_builtin_j4_text_round_trip():
