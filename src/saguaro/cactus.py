@@ -276,6 +276,13 @@ def equal(u: CactusWord, v: CactusWord) -> bool:
     """Decide equality in J_n as triviality of u v^-1, by one reduction on
     the Gauss side, where the reading map is injective.
 
+    Only the part of the words that differs is read.  In any group
+    p a s = p b s iff a = b, by left and right cancellation, so the longest
+    common prefix of the two letter tuples is dropped, then the longest
+    common suffix of what is left; the suffix scan stops where the prefix
+    ends in the shorter word, so the two never overlap.  Letters compare by
+    value, since separately parsed words share no letter objects.
+
     >>> equal(word(3, [(1, 2), (2, 3), (1, 2)]), word(3, [(2, 3), (1, 2), (2, 3)]))
     False
     >>> equal(word(4, [(1, 4), (1, 2), (1, 4)]), word(4, [(3, 4)]))
@@ -283,7 +290,15 @@ def equal(u: CactusWord, v: CactusWord) -> bool:
     """
     if u.n != v.n:
         raise ValueError(f"size mismatch: {u.n} vs {v.n}")
-    return not _push_reading(u.letters + v.letters[::-1], _bits(u.n), [])
+    a, b = u.letters, v.letters
+    short = min(len(a), len(b))
+    i = 0
+    while i < short and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < short - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    return not _push_reading(a[i : len(a) - j] + b[i : len(b) - j][::-1], _bits(u.n), [])
 
 
 def is_trivial(w: CactusWord) -> bool:

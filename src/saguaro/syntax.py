@@ -45,14 +45,16 @@ _GAUSS_TOKEN = re.compile(r"\s*(?:(t\{\s*(\d+(?:\s*,\s*\d+)*)\s*\})|(\S.*))", re
 _REL_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9.]*)(?:\^(-?\d+))?|1|(\S.*))", re.DOTALL)
 
 
-def _tokenize(token: re.Pattern, text: str) -> list[tuple[str, ...]]:
+def _tokenize(token: re.Pattern, text: str, offset: int = 0) -> list[tuple[str, ...]]:
     """The group tuples of the terms of a word.  token is \\s*(?:TERM|(\\S.*)):
     its last group takes the rest of the text from the first character that
-    starts no term, which is reported.  Right-stripping the text keeps the
-    search from restarting at each trailing space."""
+    starts no term, which is reported at offset plus its place in text.
+    Right-stripping the text keeps the search from restarting at each
+    trailing space."""
     terms = token.findall(text.rstrip())
     if terms and terms[-1][-1]:
-        raise WordSyntaxError(f"unexpected {terms[-1][-1][0]!r}", _term_start(token, text, len(terms) - 1))
+        raise WordSyntaxError(f"unexpected {terms[-1][-1][0]!r}",
+                              offset + _term_start(token, text, len(terms) - 1))
     return terms
 
 
@@ -66,7 +68,8 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
     """Parse a cactus word over n strands.
 
     Generators are involutions: a term with exponent e contributes |e| mod 2
-    copies of its letter; one CactusLetter serves every term of one (p, q).
+    copies of its letter, read from e's last digit, so an exponent of any
+    length is taken; one CactusLetter serves every term of one (p, q).
 
     >>> str(parse_cactus_word("s(1,2) s(2,4) s(1,3)", 4))
     's(1,2) s(2,4) s(1,3)'
@@ -83,7 +86,7 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
             if not 1 <= pq[0] < pq[1] <= n:
                 raise BoundsError(f"s({pq[0]},{pq[1]}) out of bounds for n={n}")
             letter = spelled[pq] = CactusLetter(*pq)
-        if not exponent or int(exponent) % 2:
+        if not exponent or int(exponent[-1]) % 2:
             letters.append(letter)
     return CactusWord(n, tuple(letters))
 
@@ -125,7 +128,7 @@ MAX_PRESENTATION_LETTERS = 1_000_000
 def _parse_relator_side(text: str, generators: set[str], offset: int, room: int) -> SignedWord:
     """One side of a relator, at most room letters long once expanded."""
     letters: list[tuple[str, int]] = []
-    for i, (name, digits, _) in enumerate(_tokenize(_REL_TOKEN, text)):
+    for i, (name, digits, _) in enumerate(_tokenize(_REL_TOKEN, text, offset)):
         if not name:
             continue  # the empty word "1"
         if name not in generators:

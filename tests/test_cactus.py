@@ -87,6 +87,27 @@ def test_equal_examples():
     assert cactus.equal(cactus.conjugate(g, w), word(6, [(1, 4), (3, 6)]))
 
 
+def test_equal_walks_only_the_middle(monkeypatch):
+    # p a s = p b s iff a = b: the shared prefix and suffix are not read, and
+    # the suffix scan stops where the prefix ends in the shorter word
+    walked = []
+    walk = cactus.walk
+
+    def counted(letters, labels):
+        walked.append(len(letters))
+        return walk(letters, labels)
+
+    monkeypatch.setattr(cactus, "walk", counted)
+    p, s = [(1, 2), (2, 4), (1, 3)], [(3, 4), (1, 4)]
+    for a, b, middle in (([(1, 2)], [(2, 3), (1, 3)], 3), ([], [(2, 3)], 1), ([(1, 4)], [(1, 4)], 0)):
+        assert cactus.equal(word(4, p + a + s), word(4, p + b + s)) == (a == b)
+        assert walked.pop() == middle
+    assert cactus.equal(word(4, [(1, 2)] * 3), word(4, [(1, 2)] * 5))
+    assert walked.pop() == 2
+    assert not cactus.equal(word(4, p + s), word(4, p + [(2, 3)] + p + s))
+    assert walked.pop() == 4
+
+
 def test_equal_rejects_size_mismatch():
     with pytest.raises(ValueError):
         cactus.equal(CactusWord(3), CactusWord(4))

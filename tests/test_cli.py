@@ -49,9 +49,13 @@ def test_order_huge_bound_decides_from_one_power(monkeypatch, capsys):
 
 
 def test_order_refuses_a_long_power_before_pushing(monkeypatch, capsys):
+    monkeypatch.setattr(cactus.racg, "push_masks", None)
+    # m = 4 is a power of two, and the even run of s(2,3) keeps it
+    code, out, err = run(capsys, "order", "-n", "4", "s(1,2) s(1,4)" + " s(2,3)" * 7500)
+    assert code == 2 and out == ""
+    assert f"c^4 has {4 * 7502} letters, more than MAX_POWER_LETTERS = 15000" in err
     # s(1,2) s(1,4) has m = 4, so c^m has 8 letters
     monkeypatch.setattr(cli, "MAX_POWER_LETTERS", 7)
-    monkeypatch.setattr(cactus, "_push_reading", None)
     code, out, err = run(capsys, "order", "-n", "4", "s(1,2) s(1,4)")
     assert code == 2 and out == ""
     assert "c^4 has 8 letters, more than MAX_POWER_LETTERS = 7" in err
@@ -68,13 +72,14 @@ def test_order_above_the_bound_stays_absent_whatever_the_cap(monkeypatch, capsys
     assert code == 0 and out.strip() == "absent"
 
 
-def test_order_refuses_a_huge_strand_order_at_the_default_cap(capsys):
-    # strands cycle in blocks of 2, 3, 5, 7, 11 and 13: m = 30,030
+def test_order_decides_a_huge_odd_strand_order_under_the_default_cap(monkeypatch, capsys):
+    # strands cycle in blocks of 2, 3, 5, 7, 11 and 13: m = 30,030 is not a
+    # power of two, so nothing is pushed and c^m, 330,330 letters, is no bar
     blocks = [(1, 2), (3, 5), (6, 10), (11, 17), (18, 28), (29, 41)]
     letters = [f"s({p},{q}) s({p},{q - 1})" if q - p > 1 else f"s({p},{q})" for p, q in blocks]
+    monkeypatch.setattr(cactus.racg, "push_masks", None)
     code, out, err = run(capsys, "order", "-n", "41", " ".join(letters), "--bound", "100000")
-    assert code == 2 and out == ""
-    assert f"c^30030 has {30030 * 11} letters" in err and "MAX_POWER_LETTERS" in err
+    assert code == 0 and out.strip() == "infinite" and err == ""
 
 
 def test_word_commands_reject_huge_n_before_parsing(tmp_path, monkeypatch, capsys):

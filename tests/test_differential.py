@@ -6,6 +6,7 @@ import collections
 import importlib
 import pkgutil
 import random
+import re
 
 import oracles
 import saguaro
@@ -52,6 +53,47 @@ def test_long_words_match_oracle():
         assert cactus.canonical(u) == oracles.canonical(u)
         assert cactus.equal(u, v) and oracles.equal(u, v)
         assert cactus.equal(u, u * v) == oracles.equal(u, u * v)
+
+
+def shared_end_partners(rng, u):
+    """Words sharing ends with u, spelled with letters of their own: u
+    itself; one letter inserted, deleted or replaced, one cancelling pair
+    inserted, and up to 8 letters replaced by random letters or scrambled by
+    relation moves, at the start, the middle and the end; and the prefixes
+    and suffixes of u."""
+    letters, n = u.letters, u.n
+    for i in sorted({0, len(letters) // 2, len(letters)}):
+        x = sampling.random_letter(n, rng)
+        yield letters[:i] + (x,) + letters[i:]
+        yield letters[:i] + (x, x) + letters[i:]
+        if i < len(letters):
+            yield letters[:i] + letters[i + 1 :]
+            yield letters[:i] + (x,) + letters[i + 1 :]
+        block = cactus.CactusWord(n, letters[i : i + 8])
+        yield letters[:i] + sampling.random_word(n, 8, rng).letters + letters[i + 8 :]
+        for _ in range(6):
+            block = sampling.random_move(block, rng)
+        yield letters[:i] + block.letters + letters[i + 8 :]
+    for k in sorted({0, 1, len(letters) // 2, len(letters)}):
+        yield letters[:k]
+        yield letters[len(letters) - k :]
+
+
+def test_equal_matches_one_push_on_shared_ends():
+    # equal cancels the words' common prefix and suffix before its one push;
+    # the oracle pushes all of u v^-1
+    rng = random.Random(33)
+    answers = collections.Counter()
+    for n in (2, 4, 12, 24):
+        for length in (0, 1, 2, 3, 10, 200, 800):
+            u = cactus.CactusWord(n, tuple(sampling.random_letter(n, rng) for _ in range(length)))
+            for letters in shared_end_partners(rng, u):
+                v = cactus.CactusWord(n, tuple(CactusLetter(x.p, x.q) for x in letters))
+                for a, b in ((u, v), (v, u)):
+                    answer = cactus.equal(a, b)
+                    assert answer == oracles.label_equal(a, b), (str(a), str(b))
+                    answers[answer] += 1
+    assert answers[True] > 200 and answers[False] > 200, answers
 
 
 def random_letters(rng, n, length, size=None):
@@ -640,10 +682,31 @@ PARSERS = {
 }
 
 
+def scanner_outcome(grammar, text, n, got):
+    """The scanning parser's outcome on text, with the two changes made since
+    it was replaced.  A cactus exponent counts by its last digit, so where
+    the scanner's int() refuses one (over 4,300 digits) the text is scanned
+    with each exponent cut to its last digit.  An unexpected character in a
+    relator is located in the whole text, not in its side: the side the
+    scanner located it in must start right after the ':' of "rels:" or an
+    '=' and hold no separator up to the character got reports."""
+    old = parse_outcome(PARSERS[grammar][1], text, n)
+    if grammar == "cactus" and isinstance(old, tuple) and "integer string conversion" in old[1]:
+        return parse_outcome(PARSERS[grammar][1], re.sub(r"\^(-?)\d*(\d)", r"^\1\2", text), n)
+    if grammar == "presentation" and isinstance(old, tuple) and old[1].startswith("unexpected"):
+        cls, message, position = old
+        at = got[2] if isinstance(got, tuple) and got[2] is not None else -1
+        side = at - position
+        assert side >= 1 and text[side - 1] in ":=", (text, at, position)
+        assert not set(text[side:at]) & set(":=;#\n") and repr(text[at]) in message, (text, at, position)
+        return cls, message.replace(f"(at position {position})", f"(at position {at})"), at
+    return old
+
+
 def test_parsers_match_the_scanning_parsers():
     # The one-findall tokenizer against the scanner that made two regex
     # calls per term: equal results, or errors of one class, message and
-    # position.
+    # position, but for the changes scanner_outcome makes.
     rng = random.Random(62)
     corpus = list(MALFORMED)
     corpus += [("cactus", text, n) for text, n in cactus_texts(rng, 3000)]
@@ -651,9 +714,8 @@ def test_parsers_match_the_scanning_parsers():
     corpus += [("presentation", text, 0) for text in presentation_texts(rng, 1500)]
     outcomes = collections.Counter()
     for grammar, text, n in corpus:
-        new, old = PARSERS[grammar]
-        got = parse_outcome(new, text, n)
-        assert got == parse_outcome(old, text, n), (grammar, text, n)
+        got = parse_outcome(PARSERS[grammar][0], text, n)
+        assert got == scanner_outcome(grammar, text, n, got), (grammar, text, n)
         outcomes[grammar, got[0].__name__ if isinstance(got, tuple) else "ok"] += 1
     # the corpus reaches every kind of outcome in every grammar
     for grammar in PARSERS:

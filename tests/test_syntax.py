@@ -24,6 +24,10 @@ def test_exponents_mod_two():
     assert syntax.parse_cactus_word("s(1,2)^2", 2).letters == ()
     assert syntax.parse_cactus_word("s(1,2)^0", 2).letters == ()
     assert syntax.parse_cactus_word("s(1,2)^5", 2).letters == (CactusLetter(1, 2),)
+    # past int()'s 4,300-digit limit: only the last digit counts, a sign never
+    for exponent, letters in (("1" * 5000, (CactusLetter(1, 2),)), ("1" * 4999 + "2", ())):
+        assert syntax.parse_cactus_word(f"s(1,2)^{exponent}", 2).letters == letters
+        assert syntax.parse_cactus_word(f"s(1,2)^-{exponent}", 2).letters == letters
 
 
 def test_parse_errors_located():
@@ -115,6 +119,14 @@ def test_parse_presentation_unknown_generator():
         with pytest.raises(WordSyntaxError) as info:
             syntax.parse_presentation(text)
         assert info.value.position == text.index("y")
+
+
+def test_parse_presentation_locates_an_unexpected_character_in_the_text():
+    for text in ("gens: x; rels: x = x^", "gens: x\nrels: x^2 = 1 = x ?", "gens: x\nrels: y x^"):
+        with pytest.raises(WordSyntaxError) as info:
+            syntax.parse_presentation(text)
+        assert info.value.position == len(text) - 1
+    assert str(info.value) == "unexpected '^' (at position 17)"
 
 
 @pytest.mark.parametrize(
