@@ -11,10 +11,10 @@ rewriting happens on the Gauss side only: a cactus is trivial iff its reading
 reduces to the empty word, and u = v iff u v^-1 is trivial.  Reduced and
 canonical cactus words are re-spellings of the reduced and canonical Gauss
 words: replayed from the start, each Gauss letter finds its strands in one
-block of positions p..q and is spelled s(p, q).  walk reads the diagram once
-into its list of crossed blocks.  The decisions label strand s by the bit
-2**s, so a crossing's label mask is the sum of its block, and push the masks
-through racg.push_masks.
+block of positions p..q, is spelled s(p, q) and crosses it, reversing it.
+walk reads the diagram once into its list of crossed blocks.  The decisions
+label strand s by the bit 2**s, so a crossing's label mask is the sum of its
+block, and push the masks through racg.push_masks.
 """
 
 from __future__ import annotations
@@ -166,21 +166,14 @@ def exchange_left(x: CactusLetter, y: CactusLetter) -> tuple[CactusLetter, Cactu
     return None
 
 
-def _strands(mask: int) -> list[int]:
-    """The strands in a label mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _span(strands: list[int], where: list[int]) -> tuple[int, int]:
-    """The block p..q that the strands occupy, strand s at position where[s]."""
-    positions = [where[s] for s in strands]
-    p, q = min(positions), max(positions)
-    assert q - p + 1 == len(strands), f"labels {strands} are not one block"
+def _span(labels: list[int], mask: int) -> tuple[int, int]:
+    """The block p..q of a label mask in labels, labels[0] = 0: one scan in C
+    finds its lowest bit, and the block runs left while the bits are the mask's."""
+    p = labels.index(mask & -mask)
+    while labels[p - 1] & mask:
+        p -= 1
+    q = p + mask.bit_count() - 1
+    assert sum(labels[p : q + 1]) == mask, f"label mask {mask} is not one block"
     return p, q
 
 
@@ -198,16 +191,13 @@ def _push_reading(letters: Iterable[CactusLetter], labels: list[int],
 def reduced_spans(w: CactusWord) -> Iterator[tuple[int, int]]:
     """The spans (p, q) of the letters of reduce(w), lazily, after one push
     of the reading.  Each Gauss letter, given by its label mask, is spelled
-    as the block its strands occupy and crossed before the next is spelled:
-    where[s] is the position of strand s, and crossing a block p..q moves
-    each of its strands to the mirror position."""
-    where = list(range(w.n + 1))
+    as the block its strands occupy in the label state and crossed, by
+    reversing that block, before the next is spelled."""
+    labels = [0, *_bits(w.n)]
     for mask in _push_reading(w.letters, _bits(w.n), []):
-        strands = _strands(mask)
-        p, q = _span(strands, where)
+        p, q = _span(labels, mask)
         yield p, q
-        for s in strands:
-            where[s] = p + q - where[s]
+        labels[p : q + 1] = labels[q : p - 1 : -1]
 
 
 def reduce(w: CactusWord) -> CactusWord:
@@ -232,14 +222,13 @@ def canonical(w: CactusWord) -> CactusWord:
     racg.reduction_dag), and there it is spelled under the current label
     state; the sources have distinct spellings, so the greedy choice is well
     defined and two words represent the same cactus iff their canonical forms
-    coincide letterwise.  Each source's strands and span are read once, when
-    it is released, into a tuple led by the span, so the least source is the
-    least tuple; each letter is built as it is emitted.  Emitting x with
-    span (p, q) mirrors x's strands in p..q and moves no other.  Sources are
-    joined by no edge, so they commute, and a remaining source y is disjoint
-    from x (its strands stay put), contains x (its positions are permuted
-    among themselves, its span kept) or is nested in x, when its span (a, b)
-    is reflected to (p + q - b, p + q - a).
+    coincide letterwise.  Each source's span is found once, when it is
+    released, into a tuple led by the span, so the least source is the least
+    tuple; each letter is built as it is emitted, and reverses its block of
+    the label state.  Sources are joined by no edge, so they commute, and a
+    remaining source y is disjoint from x, the emitted letter of span (p, q)
+    (its strands stay put), contains x (its span kept) or is nested in x,
+    when its span (a, b) is reflected to (p + q - b, p + q - a).
 
     >>> str(canonical(word(4, [(3, 4), (1, 2)])))
     's(1,2) s(3,4)'
@@ -248,27 +237,21 @@ def canonical(w: CactusWord) -> CactusWord:
     """
     reduced = _push_reading(w.letters, _bits(w.n), [])
     successors, blockers = racg.reduction_dag(reduced)
-    where = list(range(w.n + 1))
-    sources = []  # (p, q, j, strands of reduced[j]) per source j
-    for j, count in enumerate(blockers):
-        if not count:
-            strands = _strands(reduced[j])
-            sources.append((*_span(strands, where), j, strands))
+    labels = [0, *_bits(w.n)]
+    sources = [(*_span(labels, reduced[j]), j) for j, count in enumerate(blockers) if not count]
     spelled: dict[tuple[int, int], CactusLetter] = {}
     out = []
     while sources:
-        p, q, best, strands = min(sources)
+        p, q, best = min(sources)
         x = reduced[best]
-        sources = [(p + q - b, p + q - a, j, s) if reduced[j] | x == x else (a, b, j, s)
-                   for a, b, j, s in sources if j != best]
+        sources = [(p + q - b, p + q - a, j) if reduced[j] | x == x else (a, b, j)
+                   for a, b, j in sources if j != best]
         out.append(spelled.get((p, q)) or spelled.setdefault((p, q), CactusLetter(p, q)))
-        for s in strands:
-            where[s] = p + q - where[s]
+        labels[p : q + 1] = labels[q : p - 1 : -1]
         for j in successors[best]:
             blockers[j] -= 1
             if not blockers[j]:
-                strands = _strands(reduced[j])
-                sources.append((*_span(strands, where), j, strands))
+                sources.append((*_span(labels, reduced[j]), j))
     return CactusWord(w.n, tuple(out))
 
 
@@ -337,10 +320,20 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
     """
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
+    m, blocks, labels = _strand_order(c)
+    return None if m > bound else _power_order(c, m, blocks, labels)
+
+
+def _strand_order(c: CactusWord) -> tuple[int, list[list[int]], list[int]]:
+    """From one walk of c: m, the walk's blocks and the final label state."""
     labels = _bits(c.n)
     blocks = walk(c.letters, labels)
-    m = cycle_order([x.bit_length() - 1 for x in labels])
-    if m > bound or m & (m - 1):
+    return cycle_order([x.bit_length() - 1 for x in labels]), blocks, labels
+
+
+def _power_order(c: CactusWord, m: int, blocks: list[list[int]], labels: list[int]) -> int | None:
+    """order(c) from what _strand_order(c) returned, whatever the bound."""
+    if m & (m - 1):
         return None
     reduced = racg.push_masks([], map(sum, blocks))
     for _ in range(m - 1):

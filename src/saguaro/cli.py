@@ -198,13 +198,12 @@ def run(args: argparse.Namespace) -> int:
         if args.bound < 1:
             raise SystemExit2(f"--bound must be >= 1, got {args.bound}")
         w = _parse_word(args)
-        m = cactus.s_image(w).order()
+        m, blocks, labels = cactus._strand_order(w)
         if m <= args.bound and not m & (m - 1) and m * len(w) > MAX_POWER_LETTERS:
             raise SystemExit2(
                 f"c^{m} has {m * len(w)} letters, more than MAX_POWER_LETTERS = {MAX_POWER_LETTERS}"
             )
-        got = cactus.order(w, bound=args.bound)
-        print("absent" if m > args.bound else "infinite" if got is None else got)
+        print("absent" if m > args.bound else cactus._power_order(w, m, blocks, labels) or "infinite")
         return 0
     if args.command == "image":
         r = cactus.read_diagram(_parse_word(args))

@@ -69,7 +69,8 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
 
     Generators are involutions: a term with exponent e contributes |e| mod 2
     copies of its letter, read from e's last digit, so an exponent of any
-    length is taken; one CactusLetter serves every term of one (p, q).
+    length is taken; one CactusLetter serves every term of one (p, q).  A p
+    or q longer than n, leading zeros aside, is refused before int().
 
     >>> str(parse_cactus_word("s(1,2) s(2,4) s(1,3)", 4))
     's(1,2) s(2,4) s(1,3)'
@@ -80,7 +81,12 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
         raise BoundsError(f"need n >= 2, got {n}")
     letters = []
     spelled: dict[tuple[int, int], CactusLetter] = {}
+    width = len(str(n))
     for p, q, exponent, _ in _tokenize(_CACTUS_TOKEN, text):
+        if len(p) > width or len(q) > width:
+            p, q = p.lstrip("0") or "0", q.lstrip("0") or "0"
+            if len(p) > width or len(q) > width:
+                raise BoundsError(f"s({p},{q}) out of bounds for n={n}")
         pq = int(p), int(q)
         if (letter := spelled.get(pq)) is None:
             if not 1 <= pq[0] < pq[1] <= n:
@@ -102,12 +108,13 @@ def parse_gauss_word(text: str, n: int) -> GaussWord:
         raise BoundsError(f"need n >= 2, got {n}")
     letters = []
     for i, (term, labels_text, _) in enumerate(_tokenize(_GAUSS_TOKEN, text)):
-        labels = tuple(int(x) for x in re.split(r"\s*,\s*", labels_text))
-        if sorted(set(labels)) != list(labels) or len(labels) < 2:
+        digits = [x.lstrip("0") or "0" for x in re.split(r"\s*,\s*", labels_text)]
+        keys = [(len(x), x) for x in digits]  # numeric order, without int()
+        if sorted(set(keys)) != keys or len(keys) < 2:
             raise WordSyntaxError(f"labels must be distinct and ascending: {term}", _term_start(_GAUSS_TOKEN, text, i))
-        if labels[0] < 1 or labels[-1] > n:
+        if digits[0] == "0" or len(digits[-1]) > len(str(n)) or int(digits[-1]) > n:
             raise BoundsError(f"{term} out of bounds for n={n}")
-        letters.append(GaussLetter(labels))
+        letters.append(GaussLetter(tuple(map(int, digits))))
     return GaussWord(n, tuple(letters))
 
 

@@ -38,9 +38,11 @@ the generator walk of (letter, block) pairs: the push with an indexed
 backward scan, the canonical form with dict-keyed Kahn sources, the order
 that built a Permutation and the render that appended three strings per
 strand at each crossing; the order that pushed c^m whatever m, before the
-torsion theorem let it stop when m is not a power of two; and the word
+torsion theorem let it stop when m is not a power of two; the word
 parsers that scanned each term with two regex calls, building a letter
-object per term.
+object per term; and the reduction, membership and canonical form that
+spelled each letter from a strand -> position list, mirroring the
+positions of its strands one by one.
 
 The last part holds helpers that only tests use: the cancellable pairs and
 letter multiset of a Gauss word, and the matcher of one-relator
@@ -58,7 +60,7 @@ from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import TypeVar
 
-from saguaro import cactus
+from saguaro import cactus, racg
 from saguaro.cactus import (  # noqa: F401
     CactusLetter,
     CactusWord,
@@ -798,6 +800,85 @@ def render_svg(w: CactusWord, labels: bool = False) -> str:
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+# The cactus re-spelling as it was when it kept a strand -> position list:
+# where[s] is the position of strand s, a span is the least and greatest
+# position of a letter's strands, and crossing a block moves each of its
+# strands to the mirror position; names prefixed with where_ or _where_,
+# bodies verbatim.
+
+
+def _where_strands(mask: int) -> list[int]:
+    """The strands in a label mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _where_span(strands: list[int], where: list[int]) -> tuple[int, int]:
+    """The block p..q that the strands occupy, strand s at position where[s]."""
+    positions = [where[s] for s in strands]
+    p, q = min(positions), max(positions)
+    assert q - p + 1 == len(strands), f"labels {strands} are not one block"
+    return p, q
+
+
+def where_reduced_spans(w: CactusWord) -> Iterator[tuple[int, int]]:
+    """The spans (p, q) of the letters of reduce(w), lazily, after one push
+    of the reading.  Each Gauss letter, given by its label mask, is spelled
+    as the block its strands occupy and crossed before the next is spelled:
+    where[s] is the position of strand s, and crossing a block p..q moves
+    each of its strands to the mirror position."""
+    where = list(range(w.n + 1))
+    for mask in cactus._push_reading(w.letters, cactus._bits(w.n), []):
+        strands = _where_strands(mask)
+        p, q = _where_span(strands, where)
+        yield p, q
+        for s in strands:
+            where[s] = p + q - where[s]
+
+
+def where_reduce(w: CactusWord) -> CactusWord:
+    return CactusWord(w.n, tuple(CactusLetter(p, q) for p, q in where_reduced_spans(w)))
+
+
+def where_is_member(w: CactusWord, c: IntervalCollection) -> bool:
+    return all(span in c.intervals for span in where_reduced_spans(w))
+
+
+def where_canonical(w: CactusWord) -> CactusWord:
+    """Canonical representative: greedily emit the least letter (in (p, q)
+    order) that exchange moves can bring to the front, one Kahn pass over
+    racg.reduction_dag with each source's strands and span kept in a tuple
+    led by the span."""
+    reduced = cactus._push_reading(w.letters, cactus._bits(w.n), [])
+    successors, blockers = racg.reduction_dag(reduced)
+    where = list(range(w.n + 1))
+    sources = []  # (p, q, j, strands of reduced[j]) per source j
+    for j, count in enumerate(blockers):
+        if not count:
+            strands = _where_strands(reduced[j])
+            sources.append((*_where_span(strands, where), j, strands))
+    spelled: dict[tuple[int, int], CactusLetter] = {}
+    out = []
+    while sources:
+        p, q, best, strands = min(sources)
+        x = reduced[best]
+        sources = [(p + q - b, p + q - a, j, s) if reduced[j] | x == x else (a, b, j, s)
+                   for a, b, j, s in sources if j != best]
+        out.append(spelled.get((p, q)) or spelled.setdefault((p, q), CactusLetter(p, q)))
+        for s in strands:
+            where[s] = p + q - where[s]
+        for j in successors[best]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                strands = _where_strands(reduced[j])
+                sources.append((*_where_span(strands, where), j, strands))
+    return CactusWord(w.n, tuple(out))
 
 
 # The tiny-word kernels as they were when the walk above was a generator of

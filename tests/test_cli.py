@@ -65,6 +65,45 @@ def test_order_refuses_a_long_power_before_pushing(monkeypatch, capsys):
     assert code == 0 and out.strip() == "4"
 
 
+def test_order_walks_c_once_for_m_and_once_per_further_copy(monkeypatch, capsys):
+    # s(1,2) s(1,4) has m = 4: one walk gives m, the cap check and the first
+    # copy of c^4, and the three further copies take one walk each
+    walks = []
+    walk = cactus.walk
+
+    def counted(*args):
+        walks.append(None)
+        return walk(*args)
+
+    monkeypatch.setattr(cactus, "walk", counted)
+    code, out, _ = run(capsys, "order", "-n", "4", "s(1,2) s(1,4)")
+    assert code == 0 and out.strip() == "4"
+    assert len(walks) == 4
+    walks.clear()
+    code, out, _ = run(capsys, "order", "-n", "4", "s(1,2) s(1,4)", "--bound", "2")
+    assert code == 0 and out.strip() == "absent"
+    assert len(walks) == 1
+
+
+def test_word_commands_refuse_a_huge_interval_end_as_out_of_bounds(capsys):
+    # a 5,000-digit p or q exceeds n whatever it is, and is refused before
+    # int() reads it (which would fail past 4,300 digits naming no term)
+    for term in ("s(1," + "2" * 5000 + ")", "s(" + "2" * 5000 + ",3)", "s(00" + "9" * 5000 + ",1)"):
+        for argv in (["canon", "-n", "4", term], ["eq", "-n", "4", "s(1,2)", term],
+                     ["order", "-n", "10000", "s(1,2) " + term]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "out of bounds for n=" in err and "integer string conversion" not in err
+    code, _, err = run(capsys, "canon", "-n", "4", "s(1,0005)")
+    assert code == 2 and err == "error: word: s(1,5) out of bounds for n=4\n"
+    # leading zeros past n's width still name the interval they spell
+    zeros = "0" * 5000
+    code, out, _ = run(capsys, "canon", "-n", "4", f"s({zeros}1,{zeros}2) s(1,2) s(3,{zeros}4)")
+    assert code == 0 and out == "s(3,4)\n"
+    code, out, _ = run(capsys, "canon", "-n", "10000", "s(01,2) s(1,2) s(9999,010000)")
+    assert code == 0 and out == "s(9999,10000)\n"
+
+
 def test_order_above_the_bound_stays_absent_whatever_the_cap(monkeypatch, capsys):
     # m = 3 exceeds --bound 2, so nothing is pushed and the cap does not apply
     monkeypatch.setattr(cli, "MAX_POWER_LETTERS", 1)

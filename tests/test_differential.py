@@ -271,6 +271,70 @@ def test_reduce_matches_object_reduce():
         assert cactus.reduce(w) == oracles.object_reduce(w)
 
 
+def test_reduce_computes_each_span_once(monkeypatch):
+    calls = []
+
+    def counted(labels, mask):
+        calls.append(None)
+        return original(labels, mask)
+
+    original = cactus._span
+    monkeypatch.setattr(cactus, "_span", counted)
+    rng = random.Random(64)
+    words = [long_word(rng, n, length) for n in (4, 12, 24) for length in (10, 200)]
+    for w in words + list(structured_words()):
+        calls.clear()
+        reference = oracles.where_reduce(w)
+        assert cactus.reduce(w) == reference
+        assert len(calls) == len(reference)
+
+
+def narrow_word(rng, n, length, leaf=5):
+    """A word of letters of at most `leaf` leaves, anywhere in 1..n."""
+    starts = (rng.randint(1, n - 1) for _ in range(length))
+    return word(n, [(p, rng.randint(p + 1, min(p + leaf - 1, n))) for p in starts])
+
+
+def test_block_spelling_matches_the_where_spelling():
+    # Each span found by one list.index on the label state and crossed by one
+    # slice reversal, against the strand -> position list whose strands were
+    # mirrored one by one: random words, nested structures, and narrow words
+    # on many strands, where the scan for the lowest strand is longest.
+    rng = random.Random(65)
+    words = [long_word(rng, n, rng.choice((0, 1, 5, 20, 80, 300))) for n in range(2, 25) for _ in range(8)]
+    words += [long_word(rng, n, 2000) for n in (2, 7, 12, 24)]
+    words += list(structured_words())
+    words += [narrow_word(rng, n, length) for n in (1000, 10_000) for length in (0, 1, 40, 300)]
+    words += [word(n, [(1, n), (2, n - 1), (1, 2), (n - 1, n), (1, n)]) for n in (1000, 10_000)]
+    for w in words:
+        assert cactus.canonical(w) == oracles.where_canonical(w), w
+        assert cactus.reduce(w) == oracles.where_reduce(w), w
+        assert list(cactus.reduced_spans(w)) == list(oracles.where_reduced_spans(w))
+
+
+def test_is_member_matches_the_where_spelling():
+    rng = random.Random(66)
+    for n in range(2, 25):
+        for c in member_collections(rng, n):
+            for w, expected in member_words(rng, c):
+                got = subgroups.is_member(w, c)
+                assert got == oracles.where_is_member(w, c), (w, sorted(c.intervals))
+                assert expected is None or got == expected, (w, sorted(c.intervals))
+    for n in (1000, 10_000):
+        c = subgroups.IntervalCollection.slice(n, 2, 3)
+        for _ in range(3):
+            m = narrow_word(rng, n, 200, leaf=3)
+            for _ in range(20):
+                m = sampling.random_move(m, rng)
+            p = rng.randint(1, n - 4)
+            x = word(n, [(p, p + 4)])
+            for w, expected in ((m, True), (x * m, False), (m * x * m.inverse(), False),
+                                (narrow_word(rng, n, 200), None)):
+                got = subgroups.is_member(w, c)
+                assert got == oracles.where_is_member(w, c)
+                assert expected is None or got == expected
+
+
 def member_collections(rng, n):
     """Symmetric collections on n strands: random closures, slices and the twin slice."""
     yield subgroups.IntervalCollection.slice(n, 2, 2)

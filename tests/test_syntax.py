@@ -63,6 +63,26 @@ def test_parsed_word_holds_one_letter_per_spelling():
         assert len({id(letter) for letter in w.letters}) == len(set(w.letters))
 
 
+def test_huge_numbers_are_out_of_bounds_before_int_reads_them():
+    huge = "7" * 5000
+    for text in (f"s(1,{huge})", f"s({huge},2)", f"s(1,2) s(0{huge},3)^2"):
+        with pytest.raises(BoundsError, match="out of bounds for n=4"):
+            syntax.parse_cactus_word(text, 4)
+    w = syntax.parse_cactus_word("s(01,2) s(1,2) s(" + "0" * 5000 + "1,2)", 4)
+    assert len(w) == 3 and len({id(letter) for letter in w.letters}) == 1
+    for text in (f"t{{1,{huge}}}", f"t{{1,2,{huge}}}"):
+        with pytest.raises(BoundsError, match="out of bounds for n=4"):
+            syntax.parse_gauss_word(text, 4)
+    # order before bounds, as when labels were read with int()
+    for text in (f"t{{{huge},1}}", f"t{{{huge},0{huge}}}", "t{100,1}", "t{01,1}"):
+        with pytest.raises(WordSyntaxError, match="distinct and ascending"):
+            syntax.parse_gauss_word(text, 4)
+    for text in ("t{0,1}", "t{1,010}", "t{1,5}"):
+        with pytest.raises(BoundsError):
+            syntax.parse_gauss_word(text, 9 if text == "t{1,010}" else 4)
+    assert syntax.parse_gauss_word("t{01,0004} t{3," + "0" * 5000 + "4}", 4) == GaussWord(4, (tau(1, 4), tau(3, 4)))
+
+
 def test_format_word_examples():
     assert syntax.format_cactus_word(word(2, [(1, 2)])) == "s(1,2)"
     assert syntax.format_cactus_word(CactusWord(4)) == ""
