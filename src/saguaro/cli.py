@@ -87,6 +87,8 @@ def _load_collection(args) -> IntervalCollection:
             pairs = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SystemExit2(f"--collection {args.collection}: not JSON: {exc}") from None
+        except ValueError as exc:  # an integer too long for int()
+            raise SystemExit2(f"--collection {args.collection}: {exc}") from None
     pairs = pairs if isinstance(pairs, list) else [pairs]
     _check_size(f"--collection {args.collection}", len(pairs))
     for pq in pairs:

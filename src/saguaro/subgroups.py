@@ -16,7 +16,6 @@ the strand permutation.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from collections.abc import Iterable
 
@@ -28,17 +27,19 @@ from .racg import GaussLetter, GaussWord
 Interval = tuple[int, int]
 
 
-@dataclasses.dataclass(frozen=True)  # not slotted: cached_property needs a __dict__
+@dataclasses.dataclass(frozen=True, slots=True)
 class IntervalCollection:
-    """A set of sub-intervals [p, q] of [1, n]."""
+    """A set of sub-intervals [p, q] of [1, n], and whether it is symmetric."""
 
     n: int
     intervals: frozenset[Interval]
+    symmetric: bool = dataclasses.field(init=False, repr=False, compare=False)  # is_symmetric(self)
 
     def __post_init__(self) -> None:
         for p, q in self.intervals:
             if not 1 <= p < q <= self.n:
                 raise ValueError(f"interval [{p},{q}] out of bounds for n={self.n}")
+        object.__setattr__(self, "symmetric", is_symmetric(self))
 
     @staticmethod
     def of(n: int, intervals: Iterable[Interval]) -> IntervalCollection:
@@ -53,18 +54,8 @@ class IntervalCollection:
             n, ((p, p + k - 1) for k in range(i, j + 1) for p in range(1, n - k + 2))
         )
 
-    def __contains__(self, item) -> bool:
-        if isinstance(item, CactusLetter):
-            return (item.p, item.q) in self.intervals
-        return tuple(item) in self.intervals
-
     def __len__(self) -> int:
         return len(self.intervals)
-
-    @functools.cached_property
-    def symmetric(self) -> bool:
-        """is_symmetric(self), evaluated once per collection."""
-        return is_symmetric(self)
 
 
 def reflect(inner: Interval, outer: Interval) -> Interval:
@@ -73,10 +64,10 @@ def reflect(inner: Interval, outer: Interval) -> Interval:
     return (p + q - r, p + q - m)
 
 
-def _nested_pairs(c: IntervalCollection):
-    """(inner, outer) for each member inside another.  Sorted by (p, -q), the
-    members inside [p, q] follow it and start before q, which ends each scan."""
-    ordered = sorted(c.intervals, key=lambda pq: (pq[0], -pq[1]))
+def _nested_pairs(intervals: Iterable[Interval]):
+    """(inner, outer) for each interval inside another.  Sorted by (p, -q), the
+    intervals inside [p, q] follow it and start before q, which ends each scan."""
+    ordered = sorted(intervals, key=lambda pq: (pq[0], -pq[1]))
     for a, outer in enumerate(ordered):
         q = outer[1]
         for b in range(a + 1, len(ordered)):
@@ -95,22 +86,19 @@ def is_symmetric(c: IntervalCollection) -> bool:
     >>> is_symmetric(IntervalCollection.of(4, [(1, 2), (1, 4), (3, 4)]))
     True
     """
-    return all(reflect(inner, outer) in c.intervals for inner, outer in _nested_pairs(c))
+    return all(reflect(inner, outer) in c.intervals for inner, outer in _nested_pairs(c.intervals))
 
 
 def symmetric_closure(c: IntervalCollection) -> IntervalCollection:
     """Least symmetric superset, by iterating reflections to a fixpoint."""
     intervals = set(c.intervals)
-    while True:
-        current = IntervalCollection(c.n, frozenset(intervals))
-        added = {
-            reflect(inner, outer)
-            for inner, outer in _nested_pairs(current)
-            if reflect(inner, outer) not in intervals
-        }
-        if not added:
-            return current
+    while added := {
+        reflect(inner, outer)
+        for inner, outer in _nested_pairs(intervals)
+        if reflect(inner, outer) not in intervals
+    }:
         intervals |= added
+    return IntervalCollection(c.n, frozenset(intervals))
 
 
 def is_member(w: CactusWord, c: IntervalCollection) -> bool:

@@ -217,11 +217,15 @@ _PERM_TEXT = re.compile(r"\(?\s*(\d+(?:\s*,\s*\d+)*)\s*\)?")
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse one-line notation, with or without parentheses: "(4,1,3,2)"."""
+    """Parse one-line notation, with or without parentheses: "(4,1,3,2)".  An image
+    with more digits than the image count, leading zeros aside, is refused before int()."""
     m = _PERM_TEXT.fullmatch(text.strip())
     if m is None:
         raise WordSyntaxError("expected one-line notation like (2,1,3)", 0)
-    return Permutation(tuple(int(x) for x in re.split(r"\s*,\s*", m.group(1))))
+    digits = [x.lstrip("0") or "0" for x in re.split(r"\s*,\s*", m.group(1))]
+    if (longest := max(map(len, digits))) > len(str(len(digits))):
+        raise BoundsError(f"not a permutation of 1..{len(digits)}: an image has {longest} digits")
+    return Permutation(tuple(map(int, digits)))
 
 
 def parse_images_file(text: str) -> dict[str, Permutation]:
@@ -234,5 +238,9 @@ def parse_images_file(text: str) -> dict[str, Permutation]:
         if ":" not in line:
             raise WordSyntaxError(f"expected 'name: (...)' on line {lineno + 1}", 0)
         name, _, rest = line.partition(":")
-        images[name.strip()] = parse_permutation(rest)
+        name = name.strip()
+        try:
+            images[name] = parse_permutation(rest)
+        except ValueError as exc:
+            raise ValueError(f"image of {name} on line {lineno + 1}: {exc}") from None
     return images

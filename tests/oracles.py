@@ -587,7 +587,7 @@ def canonical_is_member(w: CactusWord, c) -> bool:
         raise ValueError(f"size mismatch: word n={w.n}, collection n={c.n}")
     if not c.symmetric:
         raise ValueError("membership test requires a symmetric collection")
-    return all(letter in c for letter in cactus.canonical(w))
+    return all((letter.p, letter.q) in c.intervals for letter in cactus.canonical(w))
 
 
 def slice_intervals(n: int, i: int, j: int) -> frozenset[tuple[int, int]]:

@@ -2,10 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v` (or `saguaro selftest` for the
 same checks outside pytest).  Batch sizes are the stated ones; the suite is
-seeded and completes well within the runtime budget.
+seeded, and each criterion goes through selftest.run_criterion, so one that
+runs over its time limit fails here as it does in `saguaro selftest`.
 """
-
-import random
 
 import pytest
 
@@ -13,12 +12,14 @@ from saguaro import selftest
 
 
 @pytest.mark.parametrize(
-    "number,title,check",
+    "number,title,check,limit",
     selftest.CHECKS,
-    ids=[f"{number:02d}-{title.replace(' ', '-')}" for number, title, _ in selftest.CHECKS],
+    ids=[f"{number:02d}-{title.replace(' ', '-')}" for number, title, *_ in selftest.CHECKS],
 )
-def test_acceptance(number, title, check):
-    failures = check(random.Random(selftest.seed_from_env() + number), selftest.Sizes())
+def test_acceptance(number, title, check, limit):
+    failures, elapsed = selftest.run_criterion(
+        number, check, limit, selftest.Sizes(), selftest.seed_from_env()
+    )
     status = "ok  " if not failures else "FAIL"
-    print(f"{status} {number:2d}  {title}")
+    print(f"{status} {number:2d}  {title} ({elapsed:.2f} s)")
     assert not failures, failures

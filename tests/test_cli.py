@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -198,6 +199,15 @@ def test_member_bad_collection_names_file_and_entry(tmp_path, capsys, text, entr
     assert f"--collection {collection}: " in err and entry in err
 
 
+def test_member_collection_with_a_huge_integer_names_the_file(tmp_path, capsys):
+    # json.load reads integers with int(), which fails past 4,300 digits
+    collection = tmp_path / "c.json"
+    collection.write_text("[[1, " + "2" * 5000 + "]]")
+    code, out, err = run(capsys, "member", "-n", "4", "s(1,2)", "--collection", str(collection))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --collection {collection}: ")
+
+
 class _Unbuilt:
     """Stands in for IntervalCollection: building a collection fails the test."""
 
@@ -328,6 +338,26 @@ def test_rs_images_missing_a_generator_names_it(tmp_path, capsys):
     assert "no image given for generators ['s13']" in err
 
 
+def test_rs_images_refuse_a_huge_image_naming_the_generator_and_line(tmp_path, capsys):
+    images = tmp_path / "images.txt"
+    zeros = "0" * 5000
+    for table, message in (
+        (f"s12: ({'2' * 5000},1,3,4)", "image of s12 on line 1: not a permutation of 1..4:"
+                                       " an image has 5000 digits"),
+        (f"# J4\ns12: (2,1,3,4)\ns13: (3,2,1,{zeros}44)", "image of s13 on line 3: not a"
+                                                        " permutation of 1..4: an image has 2 digits"),
+        ("s12: (2,1,3,4)\ns13: (3,3,1,4)", "image of s13 on line 2: not a permutation of 1..4"),
+    ):
+        images.write_text(table)
+        code, out, err = run(capsys, "rs", "--builtin", "J4", "--images", str(images))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and "integer string conversion" not in err
+    # leading zeros aside, an image has at most as many digits as the image count
+    images.write_text(f"s12: ({zeros}2,1,3,4)\ns13: (3,2,1,{zeros}4)\ns14: (4,3,2,1)\n")
+    code, out, _ = run(capsys, "rs", "--builtin", "J4", "--images", str(images))
+    assert code == 0 and out.startswith("cosets: 24\n")
+
+
 def test_rs_over_the_coset_cap_exits_2_naming_it(tmp_path, monkeypatch, capsys):
     # J4 has 24 cosets; every source of images stops at a cap below that
     monkeypatch.setattr(rschreier, "MAX_COSETS", 23)
@@ -400,6 +430,26 @@ def test_selftest_lines_end_with_the_criterion_time():
     for line in lines:
         head, _, seconds = line.rpartition(" (")
         assert head.startswith("ok  ") and seconds.endswith(" s)") and float(seconds[:-3]) >= 0
+
+
+def test_only_the_torsion_criteria_have_a_time_limit():
+    limits = {number: limit for number, _, _, limit in selftest.CHECKS}
+    assert limits == {number: 10 if number in (4, 5) else None for number in range(1, 15)}
+
+
+def test_a_criterion_at_or_over_its_limit_fails_in_run_and_in_the_runner(monkeypatch):
+    number, title, check, limit = selftest.CHECKS[3]
+    monkeypatch.setattr(selftest, "CHECKS", ((number, title, check, limit),))
+    sizes = selftest.Sizes.quick()
+    for step, failures in ((9.99, []), (10, ["took 10.0 s, not under its 10 s limit"])):
+        ticks = itertools.count()  # each reading of the clock is step seconds after the last
+        monkeypatch.setattr(selftest.time, "perf_counter", lambda: next(ticks) * step)
+        assert selftest.run_criterion(number, check, limit, sizes, 1) == (failures, step)
+        lines = []
+        assert selftest.run(quick=True, seed=1, emit=lines.append) == (not failures)
+        status = "FAIL" if failures else "ok  "
+        assert lines == [f"{status}  4  {title} ({step:.2f} s)"] + [f"         {m}" for m in failures]
+    assert selftest.run_criterion(number, check, None, sizes, 1)[0] == []
 
 
 def test_usage_errors_exit_2(capsys):

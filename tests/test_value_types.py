@@ -6,7 +6,7 @@ import dataclasses
 import pickle
 import random
 
-from saguaro import cactus, presentation, rschreier, selftest
+from saguaro import cactus, presentation, rschreier, selftest, subgroups
 from saguaro.cactus import CactusLetter, CactusWord, word
 from saguaro.perm import Permutation
 from saguaro.racg import GaussLetter, GaussWord, tau
@@ -28,12 +28,13 @@ def instances():
         rschreier.rs_generators(rschreier.build_transversal(j3, images))[0],
         rschreier.Pj4Report((("relator is trivial", True),)),
         selftest.Sizes.quick(),
+        subgroups.IntervalCollection.slice(4, 2, 3),
     ]
 
 
-def test_every_frozen_dataclass_but_interval_collection_is_slotted():
+def test_every_frozen_dataclass_is_slotted():
     types = {type(x) for x in instances()}
-    assert len(types) == 11
+    assert len(types) == 12
     for t in types:
         assert dataclasses.is_dataclass(t) and "__slots__" in vars(t), t
 
@@ -57,6 +58,8 @@ def test_value_types_round_trip_through_pickle_and_deepcopy():
             assert type(clone) is type(x)
     letter = pickle.loads(pickle.dumps(tau(2, 5)))
     assert letter.mask == 0b100100  # the mask is not compared, so check it alone
+    lopsided = pickle.loads(pickle.dumps(subgroups.IntervalCollection.of(4, [(1, 2), (1, 4)])))
+    assert lopsided.symmetric is False  # nor is symmetric
 
 
 def test_sorting_letters_and_permutations_keeps_their_order():
