@@ -95,7 +95,10 @@ def _load_collection(args) -> IntervalCollection:
         if not (isinstance(pq, list) and len(pq) == 2 and all(type(x) is int for x in pq)):
             raise SystemExit2(f"--collection {args.collection}: expected a JSON list of"
                               f" [p,q] integer pairs, got {json.dumps(pq)}")
-    return IntervalCollection.of(args.n, [tuple(pq) for pq in pairs])
+    try:
+        return IntervalCollection.of(args.n, [tuple(pq) for pq in pairs])
+    except ValueError as exc:  # an interval out of bounds for n
+        raise SystemExit2(f"--collection {args.collection}: {exc}") from None
 
 
 def _presentation_from_args(args):

@@ -6,23 +6,26 @@ generators, and the target one-relator presentation of the first non-abelian
 pure cactus group).
 
 Relator words live in a free group: letters are (generator, +-1) pairs and no
-involutivity is assumed.
+involutivity is assumed.  free_reduce can also treat given generators as
+involutions, as the ambient words of Reidemeister-Schreier need.
 
 Both simplifications are sized for Reidemeister-Schreier output, hundreds to
 thousands of short relators.  Tietze simplification is one greedy loop over
 state kept between its steps (Havas, Kenne, Richardson and Robertson, A
-Tietze transformation program, 1984) that costs a candidate exactly only
-when a lower bound puts it first (Minoux, Accelerated greedy algorithms,
-1978).  The Smith normal form takes sparse exponent rows built straight
-from the relators and runs one sparse elimination, unit pivots first.
+Tietze transformation program, 1984) that reads each relator once, when it
+stores it, and costs a candidate exactly only when a lower bound puts it
+first (Minoux, Accelerated greedy algorithms, 1978).  The Smith normal form
+(smith_diagonal) takes the sparse exponent rows that exponent_matrix builds
+straight from the relators and runs one sparse elimination, unit pivots
+first.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-import itertools
 import math
+import re
 
 SignedWord = tuple[tuple[str, int], ...]
 
@@ -52,15 +55,22 @@ def invert_word(w: SignedWord) -> SignedWord:
     return tuple((name, -sign) for name, sign in reversed(w))
 
 
-def free_reduce(w: SignedWord) -> SignedWord:
-    """Cancel adjacent x^e x^-e pairs.
+def free_reduce(w: SignedWord, involutive: frozenset[str] = frozenset()) -> SignedWord:
+    """Cancel adjacent x^e x^-e pairs.  A generator in involutive is its own
+    inverse: it is spelled positively and cancels in equal adjacent pairs.
 
     >>> free_reduce((('x', 1), ('y', 1), ('y', -1), ('x', 1)))
     (('x', 1), ('x', 1))
+    >>> free_reduce((('y', 1), ('x', -1), ('x', -1), ('x', -1)), frozenset({'x'}))
+    (('y', 1), ('x', 1))
     """
     out: list[tuple[str, int]] = []
     for name, sign in w:
-        if out and out[-1] == (name, -sign):
+        if name in involutive:
+            sign = inverse = 1
+        else:
+            inverse = -sign
+        if out and out[-1] == (name, inverse):
             out.pop()
         else:
             out.append((name, sign))
@@ -80,12 +90,10 @@ def cyclic_reduce(w: SignedWord) -> SignedWord:
 
 
 def _natural_key(name: str) -> tuple:
-    """Name order with digit runs compared numerically, so g9 < g10."""
-    runs = []
-    for is_digit, group in itertools.groupby(name, str.isdigit):
-        text = "".join(group)
-        runs.append((1, int(text)) if is_digit else (0, text))
-    return tuple(runs)
+    """Name order with digit runs compared numerically, so g9 < g10: the
+    split leaves the digit runs at the odd places."""
+    runs = re.split(r"(\d+)", name)
+    return tuple((k % 2, int(run) if k % 2 else run) for k, run in enumerate(runs) if run)
 
 
 # Inside the elimination loop a relator is a tuple of signed generator
@@ -116,6 +124,22 @@ def _substitute(w: IndexWord, g: int, replacement: IndexWord, inverse: IndexWord
     while j - i >= 2 and out[i] == -out[j - 1]:
         i, j = i + 1, j - 1
     return tuple(out[i:j])
+
+
+def _reads(w: IndexWord) -> dict[int, tuple[int, int, int, int] | None]:
+    """For each generator g that w holds, None if it holds g more than once,
+    else (length of w, position of g, left and right neighbour of g), the
+    neighbours read with g at exponent +1 (see _Tietze)."""
+    n = len(w)
+    reads: dict[int, tuple[int, int, int, int] | None] = {}
+    for i, x in enumerate(w):
+        if abs(x) in reads:
+            reads[abs(x)] = None
+        elif x > 0:
+            reads[x] = (n, i, w[i - 1], w[(i + 1) % n])
+        else:
+            reads[-x] = (n, i, -w[(i + 1) % n], -w[i - 1])
+    return reads
 
 
 def _class_key(w: IndexWord) -> IndexWord:
@@ -173,10 +197,11 @@ class _Tietze:
     l = 1, C stays alone, its ends cancel in k pairs, never to nothing, and
     the change is -1 - 2k (_joined).  Any change is at least -n.
 
-    So _count tallies the relators holding g once by left neighbour, right
-    neighbour and both, with their lengths.  Three lookups give a
-    candidate's number of relators that cannot cancel and, with -n for each
-    other relator, a lower bound of its total, exact if there is no other.
+    Each relator is read once, when it is stored (_reads).  So _count
+    tallies the relators holding g once by left neighbour, right neighbour
+    and both, with their lengths.  Three lookups give a candidate's number
+    of relators that cannot cancel and, with -n for each other relator, a
+    lower bound of its total, exact if there is no other.
     Heap keys are (total or bound, l, -name rank, pivot id, position of g in
     the pivot, whether a bound, g, stamp).  A bound on top is replaced by the
     exact total (_exact); bound <= exact, so the first exact key on top is
@@ -193,10 +218,11 @@ class _Tietze:
         self.relators: dict[int, IndexWord] = {}
         self.keys: dict[int, IndexWord] = {}
         self.owner: dict[IndexWord, int] = {}  # class key -> id of its relator
+        self.held: dict[int, dict] = {}  # id -> the relator's _reads
         self.occurs: dict[int, set[int]] = {g: set() for g in range(1, len(natural) + 1)}
         # generator -> (step of its last count, {id of a relator holding it
-        # once: (length, position, neighbours)}, ids of the other relators)
-        self.reads: dict[int, tuple[int, dict[int, tuple[int, ...]], list[int]]] = {}
+        # once: its read}, ids of the other relators)
+        self.counts: dict[int, tuple[int, dict[int, tuple[int, ...]], list[int]]] = {}
         self.clock = self.live = 0  # steps taken, candidates
         self.heap: list[tuple] = []
         index = {name: g for g, name in enumerate(p.generators, start=1)}
@@ -216,37 +242,34 @@ class _Tietze:
         self.relators[rid] = w
         self.keys[rid] = key
         self.owner[key] = rid
-        for g in set(map(abs, w)):
+        self.held[rid] = reads = _reads(w)
+        for g in reads:
             self.occurs[g].add(rid)
 
-    def _drop(self, rid: int) -> IndexWord:
+    def _drop(self, rid: int, touched: set[int]) -> IndexWord:
+        """Remove relator rid and add the generators it held to touched."""
         w = self.relators.pop(rid)
         del self.owner[self.keys.pop(rid)]
-        for g in set(map(abs, w)):
+        for g in self.held[rid]:
             self.occurs[g].discard(rid)
+        touched.update(self.held.pop(rid))
         return w
 
     def _count(self, g: int) -> None:
-        """Read and tally the relators holding g; push a key for each
+        """Tally the reads of the relators holding g; push a key for each
         candidate elimination of g."""
         once: dict[int, tuple[int, ...]] = {}
         others = []
         left, right, pair = {}, {}, {}  # neighbour(s) -> (relators, their length)
         plain = plain_length = rest = 0  # rest: length of the other relators
         for rid in self.occurs[g]:
-            w = self.relators[rid]
-            n = len(w)
-            if w.count(g) + w.count(-g) != 1:
+            read = self.held[rid][g]
+            if read is None:
                 others.append(rid)
-                rest += n
+                rest += len(self.relators[rid])
                 continue
-            if g in w:
-                i = w.index(g)
-                a, b = w[i - 1], w[(i + 1) % n]
-            else:
-                i = w.index(-g)
-                a, b = -w[(i + 1) % n], -w[i - 1]
-            once[rid] = (n, i, a, b)
+            once[rid] = read
+            n, _, a, b = read
             if n == 1:
                 rest += 1
                 continue
@@ -263,12 +286,12 @@ class _Tietze:
                 fast, cancel = plain - c1 - c2 + c3, s1 + s2 - s3 - n + rest
             bound = fast * (n - 2) - n - cancel
             heapq.heappush(self.heap, (bound, n, rank, rid, i, cancel > 0, g, stamp))
-        self.live += len(once) - len(self.reads.get(g, (0, {}))[1])
-        self.reads[g] = (stamp, once, others)
+        self.live += len(once) - len(self.counts.get(g, (0, {}))[1])
+        self.counts[g] = (stamp, once, others)
 
     def _exact(self, g: int, rid: int) -> int:
         """The total of eliminating g by the pivot rid."""
-        _, once, others = self.reads[g]
+        _, once, others = self.counts[g]
         size, pos, a, b = once[rid]
         replacement, inverse = _solution(self.relators[rid], pos)
         total = -size
@@ -291,7 +314,7 @@ class _Tietze:
         heap = self.heap
         while self.live:
             total, size, rank, rid, pos, is_bound, g, stamp = heapq.heappop(heap)
-            if self.reads.get(g, (None,))[0] != stamp:
+            if self.counts.get(g, (None,))[0] != stamp:
                 continue
             if not is_bound:
                 break
@@ -299,15 +322,13 @@ class _Tietze:
         else:
             return False
         self.clock += 1
-        pivot = self._drop(rid)
-        touched = set(map(abs, pivot))
-        replacement, inverse = _solution(pivot, pos)
+        touched: set[int] = set()  # every generator a new relator can hold
+        replacement, inverse = _solution(self._drop(rid, touched), pos)
         rewritten = sorted(self.occurs[g])
-        olds = [self._drop(rj) for rj in rewritten]
+        olds = [self._drop(rj, touched) for rj in rewritten]
         del self.occurs[g]
-        self.live -= len(self.reads.pop(g)[1])
+        self.live -= len(self.counts.pop(g)[1])
         for rj, old in zip(rewritten, olds):
-            touched.update(map(abs, old))  # new holds no other generator
             new = _substitute(old, g, replacement, inverse)
             if not new:
                 continue
@@ -316,13 +337,13 @@ class _Tietze:
             if holder is not None and holder < rj:
                 continue
             if holder is not None:
-                touched.update(map(abs, self._drop(holder)))
+                self._drop(holder, touched)
             self._add(rj, new, key)
         touched.discard(g)
         for h in touched:
             self._count(h)
         if len(heap) > 2 * self.live + 64:  # mostly stale keys: keep the live ones
-            self.heap = [e for e in heap if self.reads.get(e[6], (None,))[0] == e[7]]
+            self.heap = [e for e in heap if self.counts.get(e[6], (None,))[0] == e[7]]
             heapq.heapify(self.heap)
         return True
 
@@ -399,11 +420,11 @@ def involutive_generators(p: Presentation) -> frozenset[str]:
     return frozenset(names)
 
 
-def _exponent_rows(p: Presentation) -> list[dict[int, int]]:
+def exponent_matrix(p: Presentation) -> list[dict[int, int]]:
     """The exponent sums of each relator, as a {generator index: sum} row
     without zeros, in index order: the sparse relator-by-generator matrix.
 
-    >>> _exponent_rows(Presentation(('x', 'y'), ((('y', 1), ('x', 1), ('y', -1)),)))
+    >>> exponent_matrix(Presentation(('x', 'y'), ((('y', 1), ('x', 1), ('y', -1)),)))
     [{0: 1}]
     """
     index = {name: j for j, name in enumerate(p.generators)}
@@ -417,29 +438,15 @@ def _exponent_rows(p: Presentation) -> list[dict[int, int]]:
     return rows
 
 
-def exponent_matrix(p: Presentation) -> list[list[int]]:
-    """Relator-by-generator matrix of exponent sums: _exponent_rows, dense."""
-    columns = range(len(p.generators))
-    return [[row.get(j, 0) for j in columns] for row in _exponent_rows(p)]
+def smith_diagonal(matrix: list[dict[int, int]]) -> list[int]:
+    """Nonnegative diagonal of the Smith normal form, d1 | d2 | ..., of a
+    matrix given as {column: value} rows without zeros, such as
+    exponent_matrix builds from the relators; the rows are consumed.
 
-
-def smith_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Nonnegative diagonal of the Smith normal form, d1 | d2 | ..., by
-    _sparse_smith_diagonal on the rows as {column: value} dicts.
-
-    >>> smith_diagonal([[0, 2, 2, -2, 2]])
-    [2]
-    >>> smith_diagonal([[1, 2, 0], [3, 4, 0], [0, 0, 1]])
+    >>> smith_diagonal([{1: 2, 2: 2, 3: -2, 4: 2}]), smith_diagonal([{0: 6, 1: 10, 2: 15}])
+    ([2], [1])
+    >>> smith_diagonal([{0: 1, 1: 2}, {0: 3, 1: 4}, {2: 1}])
     [1, 1, 2]
-    >>> smith_diagonal([[6, 10, 15]]), smith_diagonal([[6], [10], [15]])
-    ([1], [1])
-    """
-    return _sparse_smith_diagonal([{j: v for j, v in enumerate(row) if v} for row in matrix])
-
-
-def _sparse_smith_diagonal(matrix: list[dict[int, int]]) -> list[int]:
-    """smith_diagonal of {column: value} rows without zeros, such as
-    _exponent_rows builds from the relators; the rows are consumed.
 
     Repeated rows are dropped, which keeps the row lattice.  Each sweep
     visits the rows shortest first and pivots on entries of the least
@@ -525,7 +532,7 @@ def abelianization(p: Presentation) -> tuple[int, tuple[int, ...]]:
     >>> abelianization(Presentation(('x', 'y'), ()))
     (2, ())
     """
-    diag = _sparse_smith_diagonal(_exponent_rows(p))
+    diag = smith_diagonal(exponent_matrix(p))
     nonzero = [d for d in diag if d != 0]
     rank = len(p.generators) - len(nonzero)
     return rank, tuple(d for d in nonzero if d > 1)

@@ -20,8 +20,9 @@ function, the generator list and the relators read the step table; expansion
 back into ambient words reads the reduced a_{k,x} by name.
 
 Generators carrying an x^2 relator are treated as involutions: ambient words
-spell x^-1 as x and cancel adjacent equal copies, so a_{k,x} counts as
-trivial when it dies in the free product of Z_2's.  Dropping such generators
+spell x^-1 as x and cancel adjacent equal copies (presentation.free_reduce
+with the transversal's involutive set), so a_{k,x} counts as trivial when it
+dies in the free product of Z_2's.  Dropping such generators
 amounts to eliminating them with the rewritten x^2 relators, so the presented
 subgroup is unchanged while the generator and relator lists match hand
 computations done with involutive arithmetic.
@@ -44,6 +45,7 @@ from .presentation import (
     PJ4_GENERATOR_WORDS,
     SignedWord,
     SimplifiedPresentation,
+    free_reduce,
     invert_word,
     involutive_generators,
     tietze_simplify,
@@ -65,7 +67,7 @@ class Transversal:
     where the letter coded c (see code) leads from k: (that coset, the letter
     it rewrites to or None, the inverse of that letter).  word_of_name maps
     the name a_k<k+1>_<x> of every a_{k,x}, trivial ones included, to its
-    reduced ambient word.
+    ambient word as free_reduce(..., involutive) reduces it.
     """
 
     def __init__(
@@ -124,23 +126,6 @@ class Transversal:
     def __len__(self) -> int:
         return len(self.reps)
 
-    def ambient_reduce(self, w: SignedWord) -> SignedWord:
-        """Reduced form in the ambient free product: involutive generators are
-        spelled positively and cancel in equal adjacent pairs; the rest cancel
-        only against their inverses."""
-        out: list[tuple[str, int]] = []
-        for name, sign in w:
-            if name in self.involutive:
-                sign = 1
-                cancels = bool(out) and out[-1] == (name, 1)
-            else:
-                cancels = bool(out) and out[-1] == (name, -sign)
-            if cancels:
-                out.pop()
-            else:
-                out.append((name, sign))
-        return tuple(out)
-
     def code(self, w: SignedWord) -> tuple[int, ...]:
         """w as columns of steps: 2i for x_i, 2i + 1 for its inverse."""
         position = self.position
@@ -151,7 +136,7 @@ def _kernel_word(left: SignedWord, target: SignedWord, inverted: SignedWord) -> 
     """a_{k,x} = (k x)(kx-bar)^-1, reduced: left is the representative of k
     times x, target that of kx, inverted the ambient inverse of target.
 
-    This is ambient_reduce(left + inverted), without its scan.  Both
+    This is free_reduce(left + inverted, involutive), without its scan.  Both
     representatives are positive breadth-first words, hence reduced: an
     involutive letter never repeats next to itself, or a shorter word would
     reach the same coset.  So left is reduced once a final involutive x x is
@@ -263,7 +248,7 @@ def expand_rs_word(t: Transversal, w: SignedWord) -> SignedWord:
     for name, sign in w:
         word = t.word_of_name[name]
         out.extend(word if sign == 1 else invert_word(word))
-    return t.ambient_reduce(tuple(out))
+    return free_reduce(tuple(out), t.involutive)
 
 
 def rs_presentation(

@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from . import cactus, racg
 from .cactus import CactusLetter, CactusWord
 from .perm import Permutation
-from .racg import GaussLetter, GaussWord
+from .racg import GaussWord
 
 Interval = tuple[int, int]
 
@@ -145,21 +145,14 @@ def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
     width-i diagram group, where letters commute only when disjoint) plus the
     permutation contributed by all leaves >= i.
 
-    Letters of leaf < i vanish entirely, reversals included.  The leaf-i
-    letters all have i labels, and distinct label sets of one size are never
-    nested, so the Gauss engine's commutation is disjointness on them.
+    Letters of leaf < i vanish entirely, reversals included: the diagram of
+    the other letters is read, and its Gauss letters with i labels are the
+    leaf-i crossings.  Distinct label sets of one size are never nested, so
+    the Gauss engine's commutation is disjointness on them.
     """
-    if not 2 <= i <= w.n:
-        raise ValueError(f"need 2 <= i <= n, got i={i} n={w.n}")
-    labels = list(range(1, w.n + 1))
-    big = [letter for letter in w.letters if letter.leaf >= i]
-    letters = [
-        GaussLetter(tuple(sorted(block)))
-        for letter, block in zip(big, cactus.walk(big, labels))
-        if letter.leaf == i
-    ]
-    reduced = racg.canonical_letters(letters)
-    return GaussWord(w.n, reduced), Permutation(tuple(labels)).inverse()
+    read = cactus.read_diagram(eraser_slice(i, w))  # checks i
+    letters = [letter for letter in read.gauss.letters if len(letter.labels) == i]
+    return GaussWord(w.n, racg.canonical_letters(letters)), read.perm
 
 
 def _relation_instances(n: int):

@@ -229,8 +229,10 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def parse_images_file(text: str) -> dict[str, Permutation]:
-    """Generator-image table: one "name: (2,1,3,4)" entry per line."""
+    """Generator-image table: one "name: (2,1,3,4)" entry per line, at most
+    one per generator."""
     images: dict[str, Permutation] = {}
+    lines: dict[str, int] = {}  # generator -> the line of its image
     for lineno, raw_line in enumerate(text.split("\n")):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -239,6 +241,10 @@ def parse_images_file(text: str) -> dict[str, Permutation]:
             raise WordSyntaxError(f"expected 'name: (...)' on line {lineno + 1}", 0)
         name, _, rest = line.partition(":")
         name = name.strip()
+        if name in lines:
+            raise ValueError(f"image of {name} on line {lineno + 1}: {name} already has"
+                             f" an image on line {lines[name]}")
+        lines[name] = lineno + 1
         try:
             images[name] = parse_permutation(rest)
         except ValueError as exc:

@@ -1534,6 +1534,26 @@ def costed_tietze_simplify(p: Presentation, budget: int = 1000) -> SimplifiedPre
     return SimplifiedPresentation(state.presentation(), steps, exhausted)
 
 
+# A relator's read for one generator as the stateful loop derived it on every
+# count of that generator, before each relator was read once when stored;
+# body verbatim from its count.
+
+
+def counted_read(w: IndexWord, g: int) -> tuple[int, int, int, int] | None:
+    """(length, position of g, left and right neighbour of g read at exponent
+    +1) when w holds g once, else None."""
+    n = len(w)
+    if w.count(g) + w.count(-g) != 1:
+        return None
+    if g in w:
+        i = w.index(g)
+        a, b = w[i - 1], w[(i + 1) % n]
+    else:
+        i = w.index(-g)
+        a, b = -w[(i + 1) % n], -w[i - 1]
+    return (n, i, a, b)
+
+
 def smith_diagonal(matrix: list[list[int]]) -> list[int]:
     """Nonnegative diagonal of the Smith normal form, d1 | d2 | ... .
 

@@ -199,6 +199,14 @@ def test_member_bad_collection_names_file_and_entry(tmp_path, capsys, text, entr
     assert f"--collection {collection}: " in err and entry in err
 
 
+def test_member_collection_out_of_bounds_names_the_file(tmp_path, capsys):
+    collection = tmp_path / "c.json"
+    collection.write_text("[[1,5]]")
+    code, out, err = run(capsys, "member", "-n", "4", "s(1,2)", "--collection", str(collection))
+    assert code == 2 and out == ""
+    assert err == f"error: --collection {collection}: interval [1,5] out of bounds for n=4\n"
+
+
 def test_member_collection_with_a_huge_integer_names_the_file(tmp_path, capsys):
     # json.load reads integers with int(), which fails past 4,300 digits
     collection = tmp_path / "c.json"
@@ -336,6 +344,16 @@ def test_rs_images_missing_a_generator_names_it(tmp_path, capsys):
     code, out, err = run(capsys, "rs", "--presentation", str(pres), "--images", str(images))
     assert code == 2 and out == ""
     assert "no image given for generators ['s13']" in err
+
+
+def test_rs_images_refuse_a_repeated_generator_naming_both_lines(tmp_path, capsys):
+    pres = tmp_path / "j3.txt"
+    pres.write_text("gens: s12 s13\nrels: s12^2\nrels: s13^2\n")
+    images = tmp_path / "images.txt"
+    images.write_text("s12: (2,1,3)\ns13: (3,2,1)\n# again\ns12: (1,2,3)\n")
+    code, out, err = run(capsys, "rs", "--presentation", str(pres), "--images", str(images))
+    assert code == 2 and out == ""
+    assert err == "error: image of s12 on line 4: s12 already has an image on line 1\n"
 
 
 def test_rs_images_refuse_a_huge_image_naming_the_generator_and_line(tmp_path, capsys):

@@ -122,10 +122,10 @@ def test_abelianization_examples():
 
 
 def test_smith_diagonal():
-    assert smith_diagonal([[0, 2, 2, -2, 2]]) == [2]
-    assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_diagonal([[1, 0], [0, 0]]) == [1]
-    assert smith_diagonal([[4, 0], [0, 6]]) == [2, 12]
+    assert smith_diagonal([{1: 2, 2: 2, 3: -2, 4: 2}]) == [2]
+    assert smith_diagonal([{0: 2}, {1: 3}]) == [1, 6]
+    assert smith_diagonal([{0: 1}, {}]) == [1]
+    assert smith_diagonal([{0: 4}, {1: 6}]) == [2, 12]
     assert smith_diagonal([]) == []
 
 

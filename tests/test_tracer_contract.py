@@ -54,3 +54,15 @@ def test_install_then_uninstall_restores_every_function():
         spans.uninstall()
     after = bindings(tracer.SPANS)
     assert all(after[key] is fn for key, fn in before.items())
+
+
+def test_abelianization_runs_inside_the_smith_spans():
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    spans.install(saguaro)
+    try:
+        saguaro.presentation.abelianization(saguaro.presentation.builtin("J4"))
+    finally:
+        spans.uninstall()
+    engines = ("presentation.exponent_matrix", "presentation.smith_diagonal")
+    assert [spans.stats.get(name, {}).get("calls") for name in engines] == [1, 1]
