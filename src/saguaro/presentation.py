@@ -441,7 +441,7 @@ def exponent_matrix(p: Presentation) -> list[dict[int, int]]:
 def smith_diagonal(matrix: list[dict[int, int]]) -> list[int]:
     """Nonnegative diagonal of the Smith normal form, d1 | d2 | ..., of a
     matrix given as {column: value} rows without zeros, such as
-    exponent_matrix builds from the relators; the rows are consumed.
+    exponent_matrix builds from the relators; the caller's rows are left unchanged.
 
     >>> smith_diagonal([{1: 2, 2: 2, 3: -2, 4: 2}]), smith_diagonal([{0: 6, 1: 10, 2: 15}])
     ([2], [1])
@@ -454,7 +454,7 @@ def smith_diagonal(matrix: list[dict[int, int]]) -> list[int]:
     limit fill-in (structured elimination, LaMacchia and Odlyzko, CRYPTO
     1990).  The Smith form is unique, so the pivot order does not matter.
     """
-    rows = dict(enumerate({tuple(row.items()): row for row in matrix if row}.values()))
+    rows = dict(enumerate({tuple(row.items()): dict(row) for row in matrix if row}.values()))
     where: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:

@@ -9,15 +9,15 @@ ones generate it.  Rewriting the conjugated relators k r k^-1 through the
 coset walk expresses a complete set of relations in these generators, which
 Tietze simplification then shrinks.
 
-Each transversal keeps one step table.  The coset search composes raw image
-tuples into the coset action, by generator position.  One pass then reduces
-each a_{k,x} once, by cancelling the common suffix of k x and kx-bar, and
-writes both directions of its edge: x from k to kx, which rewrites to
-(name, 1), and x^-1 back from kx, which rewrites to (name, -1).
-Relators are coded as column indices once and walked from every coset through
-that table, reducing freely by comparing letters by identity.  The rewriting
-function, the generator list and the relators read the step table; expansion
-back into ambient words reads the reduced a_{k,x} by name.
+Each transversal keeps one step table, which the breadth-first coset search
+over raw image tuples writes: crossing the edge of x from coset k, it reduces
+a_{k,x} once, by cancelling the common suffix of k x and kx-bar, and writes x
+from k to kx, which rewrites to (name, 1), and x^-1 back from kx, which
+rewrites to (name, -1).  Relators are coded as column indices once and walked
+through that table: from coset 0 to check the homomorphism, and from every
+coset, reducing freely by comparing letters by identity, to rewrite them.
+The rewriting function, the generator list and the relators read the step
+table; expansion back into ambient words reads the reduced a_{k,x} by name.
 
 Generators carrying an x^2 relator are treated as involutions: ambient words
 spell x^-1 as x and cancel adjacent equal copies (presentation.free_reduce
@@ -56,6 +56,9 @@ from .presentation import (
 # it before the tables grow past it; PJ7 (5,040 cosets) and the symmetric
 # group S_8 (40,320) fit.
 MAX_COSETS = 50_000
+# Most entries (cosets times points) the coset permutations may hold, about
+# 100 MB; S_8 needs 322,560 and J5 on 10,000 strands 1,200,000.
+MAX_COSET_ENTRIES = 10_000_000
 
 
 class Transversal:
@@ -63,11 +66,11 @@ class Transversal:
 
     Coset 0 is the subgroup itself; representatives are the breadth-first
     discovery words (generators tried in declaration order), hence positive
-    and prefix-closed.  action[k][i] is the coset k x_i.  steps[k][c] says
-    where the letter coded c (see code) leads from k: (that coset, the letter
-    it rewrites to or None, the inverse of that letter).  word_of_name maps
-    the name a_k<k+1>_<x> of every a_{k,x}, trivial ones included, to its
-    ambient word as free_reduce(..., involutive) reduces it.
+    and prefix-closed.  steps[k][c] says where the letter coded c (see code)
+    leads from k: (that coset, the letter it rewrites to or None, the
+    inverse of that letter); steps[k][2i][0] is the coset k x_i.
+    word_of_name maps the name a_k<k+1>_<x> of every a_{k,x}, trivial ones
+    included, to its ambient word as free_reduce(..., involutive) reduces it.
     """
 
     def __init__(
@@ -85,35 +88,34 @@ class Transversal:
         # The images are valid Permutations, so the search composes their
         # 0-based image tuples directly; perms grows in discovery order.
         tables = [tuple(x - 1 for x in images[g].images) for g in generators]
-        identity = tuple(range(sizes.pop() if sizes else 1))
+        points = sizes.pop() if sizes else 1
+        identity = tuple(range(points))
         perms = [identity]
         index = {identity: 0}
         self.reps: list[SignedWord] = [()]
-        self.action: list[list[int]] = []
+        # the ambient inverse of each representative, involutions positive
+        inverted: list[SignedWord] = [()]
+        self.word_of_name: dict[str, SignedWord] = {}
+        width = 2 * len(generators)
+        self.steps: list[list[tuple]] = [[()] * width]
+        # A coset's row is added when it is found; the edge (k, x_i) fills
+        # column 2i of row k and column 2i + 1 of row t = k x_i, so every step
+        # is written once, both sharing the letters rs_relators compares.
         for k, perm in enumerate(perms):
-            row = []
-            for g, table in zip(generators, tables):
+            rep = self.reps[k]
+            for i, (g, table) in enumerate(zip(generators, tables)):
                 target = tuple(map(table.__getitem__, perm))
                 t = index.setdefault(target, len(perms))
                 if t == len(perms):
                     if t == MAX_COSETS:
                         raise ValueError(f"more than MAX_COSETS = {MAX_COSETS} cosets")
+                    if (t + 1) * points > MAX_COSET_ENTRIES:
+                        raise ValueError(f"more than MAX_COSET_ENTRIES = {MAX_COSET_ENTRIES}"
+                                         f" coset table entries, {points} per coset")
                     perms.append(target)
-                    self.reps.append(self.reps[k] + ((g, 1),))
-                row.append(t)
-            self.action.append(row)
-        # the ambient inverse of each representative, involutions positive
-        inverted = [
-            tuple((g, 1 if g in involutive else -1) for g, _ in reversed(rep))
-            for rep in self.reps
-        ]
-        # (k, x_i) fills column 2i of row k and column 2i + 1 of row t = k x_i;
-        # each column of action permutes the cosets, so every inverse step is
-        # written once.  Both share the letters rs_relators compares by identity.
-        self.word_of_name: dict[str, SignedWord] = {}
-        self.steps: list[list[tuple]] = [[()] * (2 * len(generators)) for _ in self.reps]
-        for k, (rep, row) in enumerate(zip(self.reps, self.action)):
-            for i, (g, t) in enumerate(zip(generators, row)):
+                    self.reps.append(rep + ((g, 1),))
+                    inverted.append(((g, 1 if g in involutive else -1),) + inverted[k])
+                    self.steps.append([()] * width)
                 # rep x, with a final involutive x x cancelled
                 left = rep[:-1] if g in involutive and rep[-1:] == ((g, 1),) else rep + ((g, 1),)
                 w = _kernel_word(left, self.reps[t], inverted[t])
@@ -172,14 +174,13 @@ def build_transversal(p: Presentation, images: Mapping[str, Permutation]) -> Tra
     missing = [g for g in p.generators if g not in images]
     if missing:
         raise ValueError(f"no image given for generators {missing}")
+    t = Transversal(p.generators, images, involutive_generators(p))
     for rel in p.relators:
-        image = None
-        for name, sign in rel:
-            step = images[name] if sign == 1 else images[name].inverse()
-            image = step if image is None else image * step
-        if image is not None and not image.is_identity():
-            raise ValueError(f"images do not satisfy relator {rel}")
-    return Transversal(p.generators, images, involutive_generators(p))
+        try:
+            rewrite(t, rel)
+        except ValueError:
+            raise ValueError(f"images do not satisfy relator {rel}") from None
+    return t
 
 
 def rs_generators(t: Transversal) -> list[RSGenerator]:

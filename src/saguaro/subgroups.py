@@ -155,22 +155,16 @@ def eraser_width(i: int, w: CactusWord) -> tuple[GaussWord, Permutation]:
     return GaussWord(w.n, racg.canonical_letters(letters)), read.perm
 
 
-def _relation_instances(n: int):
-    """Both sides of every defining relation instance of J_n."""
-    intervals = [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
-    for p, q in intervals:
-        yield [(p, q), (p, q)], []
-    for (p, q), (m, r) in itertools.permutations(intervals, 2):
-        if q < m:  # disjoint, listed once per unordered pair
-            yield [(p, q), (m, r)], [(m, r), (p, q)]
-        elif p <= m and r <= q and (p, q) != (m, r):  # nested
-            yield [(p, q), (m, r)], [reflect((m, r), (p, q)), (p, q)]
-
-
 def check_eraser_welldefined(i: int, n: int) -> bool:
-    """Verify both erasers respect every defining relation instance of J_n."""
-    for lhs_pairs, rhs_pairs in _relation_instances(n):
-        lhs, rhs = cactus.word(n, lhs_pairs), cactus.word(n, rhs_pairs)
+    """Verify both erasers respect every defining relation instance of J_n:
+    x x = 1, and each move cactus.exchange_left makes on two letters."""
+    letters = [CactusLetter(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
+    instances = [((x, x), ()) for x in letters]
+    for x, y in itertools.permutations(letters, 2):
+        if moved := cactus.exchange_left(x, y):
+            instances.append(((x, y), moved))
+    for lhs_letters, rhs_letters in instances:
+        lhs, rhs = CactusWord(n, lhs_letters), CactusWord(n, rhs_letters)
         if not cactus.equal(eraser_slice(i, lhs), eraser_slice(i, rhs)):
             return False
         lw, lp = eraser_width(i, lhs)

@@ -393,6 +393,36 @@ def test_rs_over_the_coset_cap_exits_2_naming_it(tmp_path, monkeypatch, capsys):
     assert run(capsys, "rs", "--builtin", "J4", "--json")[0] == 0
 
 
+def test_rs_over_the_coset_table_bound_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    # 24 cosets of 4 points fill 96 entries, so a bound of 95 stops J4
+    monkeypatch.setattr(rschreier, "MAX_COSET_ENTRIES", 95)
+    code, out, err = run(capsys, "rs", "--builtin", "J4")
+    assert code == 2 and out == ""
+    assert err == "error: more than MAX_COSET_ENTRIES = 95 coset table entries, 4 per coset\n"
+    monkeypatch.setattr(rschreier, "MAX_COSET_ENTRIES", 96)
+    assert run(capsys, "rs", "--builtin", "J4")[0] == 0
+    # a wide image is refused after a few cosets, before its table grows
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: a b\nrels: a^2\n")
+    images = tmp_path / "images.txt"
+    cycle = ",".join(map(str, range(2, 2001))) + ",1"
+    images.write_text(f"a: (2,1,{','.join(map(str, range(3, 2001)))})\nb: ({cycle})\n")
+    monkeypatch.setattr(rschreier, "MAX_COSET_ENTRIES", 10 * 2000)
+    code, out, err = run(capsys, "rs", "--presentation", str(pres), "--images", str(images))
+    assert code == 2 and out == ""
+    assert "MAX_COSET_ENTRIES = 20000 coset table entries, 2000 per coset" in err
+
+
+def test_rs_non_homomorphism_exits_2_naming_the_relator(tmp_path, capsys):
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: x\nrels: x^2\n")
+    images = tmp_path / "images.txt"
+    images.write_text("x: (2,3,1)\n")
+    code, out, err = run(capsys, "rs", "--presentation", str(pres), "--images", str(images))
+    assert code == 2 and out == ""
+    assert err == "error: images do not satisfy relator (('x', 1), ('x', 1))\n"
+
+
 @pytest.mark.parametrize("command", [["abel"], ["rs", "--strands", "2"]])
 def test_huge_presentation_exponent_exits_2_naming_the_term(tmp_path, capsys, command):
     pres = tmp_path / "p.txt"

@@ -103,7 +103,7 @@ def assert_rs_matches_oracle(p: Presentation, images) -> tuple:
     old = oracles.NamedTransversal(p.generators, images, involutive_generators(p))
     assert t.reps == old.reps
     for k in range(len(old)):
-        assert t.action[k] == [old.action[k][g] for g in p.generators]
+        assert [s[0] for s in t.steps[k][::2]] == [old.action[k][g] for g in p.generators]
         expected = [oracle_step(old, k, g, sign) for g in p.generators for sign in (1, -1)]
         assert t.steps[k] == expected
         # both directions of an edge share its letters, which rs_relators

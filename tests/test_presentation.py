@@ -129,6 +129,12 @@ def test_smith_diagonal():
     assert smith_diagonal([]) == []
 
 
+def test_smith_diagonal_leaves_its_input_unchanged():
+    rows = [{0: 2, 1: 4}, {0: 1, 1: 3}]
+    assert smith_diagonal(rows) == [1, 2]
+    assert rows == [{0: 2, 1: 4}, {0: 1, 1: 3}]
+
+
 def test_builtin_presentations():
     assert len(builtin("J3").relators) == 2
     assert builtin("J4").generators == ("s12", "s13", "s14")

@@ -66,7 +66,23 @@ def test_transversal_stops_at_the_coset_cap(monkeypatch):
 
 def test_transversal_rejects_non_homomorphism():
     x2 = Presentation(("x",), (positive_word("x", "x"),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"images do not satisfy relator \(\('x', 1\), \('x', 1\)\)"):
+        build_transversal(x2, {"x": Permutation((2, 3, 1))})
+    # the sets are compared before any relator is walked
+    xy = Presentation(("x", "y"), (positive_word("x", "y"),))
+    with pytest.raises(ValueError, match=r"images act on different sets: \[2, 3\]"):
+        build_transversal(xy, {"x": Permutation((2, 1)), "y": Permutation((1, 2, 3))})
+
+
+def test_transversal_multiplies_no_permutation(monkeypatch):
+    def fail(*args):
+        raise AssertionError("Permutation multiplied")
+
+    monkeypatch.setattr(Permutation, "__mul__", fail)
+    for p, n, cosets in ((builtin("J3"), 3, 6), (builtin("J4"), 4, 24)):
+        assert len(build_transversal(p, strand_images(p, n))) == cosets
+    x2 = Presentation(("x",), (positive_word("x", "x"),))
+    with pytest.raises(ValueError, match="images do not satisfy relator"):
         build_transversal(x2, {"x": Permutation((2, 3, 1))})
 
 
