@@ -26,6 +26,14 @@ from . import racg
 from .perm import Permutation, cycle_order
 from .racg import GaussLetter, GaussWord
 
+Interval = tuple[int, int]
+
+
+def reflect(inner: Interval, outer: Interval) -> Interval:
+    """Mirror a nested interval across the midpoint of its enclosing one."""
+    (m, r), (p, q) = inner, outer
+    return (p + q - r, p + q - m)
+
 
 @dataclasses.dataclass(frozen=True, order=True, slots=True)
 class CactusLetter:
@@ -44,7 +52,7 @@ class CactusLetter:
 
     def reflect_in(self, outer: CactusLetter) -> CactusLetter:
         """Mirror this interval across the midpoint of an enclosing one."""
-        return CactusLetter(outer.p + outer.q - self.q, outer.p + outer.q - self.p)
+        return CactusLetter(*reflect((self.p, self.q), (outer.p, outer.q)))
 
     def nested_in(self, other: CactusLetter) -> bool:
         return other.p <= self.p and self.q <= other.q
@@ -217,18 +225,13 @@ def canonical(w: CactusWord) -> CactusWord:
     """Canonical representative: greedily emit the least letter (in (p, q)
     order) that exchange moves can bring to the front.
 
-    A letter can reach the front exactly when its Gauss letter is a source of
-    the non-commutation DAG of the reduced reading (Kahn's algorithm over
-    racg.reduction_dag), and there it is spelled under the current label
-    state; the sources have distinct spellings, so the greedy choice is well
-    defined and two words represent the same cactus iff their canonical forms
-    coincide letterwise.  Each source's span is found once, when it is
-    released, into a tuple led by the span, so the least source is the least
-    tuple; each letter is built as it is emitted, and reverses its block of
-    the label state.  Sources are joined by no edge, so they commute, and a
-    remaining source y is disjoint from x, the emitted letter of span (p, q)
-    (its strands stay put), contains x (its span kept) or is nested in x,
-    when its span (a, b) is reflected to (p + q - b, p + q - a).
+    The letters that can reach the front are the sources of the reduced
+    reading in racg.least_linearization, keyed by their distinct spans, each
+    found once under the label state, which each emitted letter reverses.
+    So two words are equal iff their canonical forms coincide letterwise.  A
+    remaining source commutes with the emitted letter: it is disjoint from
+    it (its strands stay put), contains it (its span kept) or is nested in
+    it (its span reflected).
 
     >>> str(canonical(word(4, [(3, 4), (1, 2)])))
     's(1,2) s(3,4)'
@@ -236,22 +239,13 @@ def canonical(w: CactusWord) -> CactusWord:
     's(1,4) s(1,2)'
     """
     reduced = _push_reading(w.letters, _bits(w.n), [])
-    successors, blockers = racg.reduction_dag(reduced)
     labels = [0, *_bits(w.n)]
-    sources = [(*_span(labels, reduced[j]), j) for j, count in enumerate(blockers) if not count]
-    spelled: dict[tuple[int, int], CactusLetter] = {}
+    spelled: dict[Interval, CactusLetter] = {}
     out = []
-    while sources:
-        p, q, best = min(sources)
-        x = reduced[best]
-        sources = [(p + q - b, p + q - a, j) if reduced[j] | x == x else (a, b, j)
-                   for a, b, j in sources if j != best]
-        out.append(spelled.get((p, q)) or spelled.setdefault((p, q), CactusLetter(p, q)))
+    for span in racg.least_linearization(reduced, lambda j: _span(labels, reduced[j]), reflect):
+        p, q = span
+        out.append(spelled.get(span) or spelled.setdefault(span, CactusLetter(p, q)))
         labels[p : q + 1] = labels[q : p - 1 : -1]
-        for j in successors[best]:
-            blockers[j] -= 1
-            if not blockers[j]:
-                sources.append((*_span(labels, reduced[j]), j))
     return CactusWord(w.n, tuple(out))
 
 

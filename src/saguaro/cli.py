@@ -158,10 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     source = rs.add_mutually_exclusive_group(required=True)
     source.add_argument("--presentation", help="presentation file (gens:/rels: format)")
     source.add_argument("--builtin", choices=["J3", "J4"], help="builtin cactus presentation")
-    rs.add_argument("--images", help="generator image file, 'name: (2,1,3,4)' per line")
-    rs.add_argument(
+    images = rs.add_mutually_exclusive_group()
+    images.add_argument("--images", help="generator image file, 'name: (2,1,3,4)' per line")
+    images.add_argument(
         "--strands", type=int,
-        help=f"derive images s<pq> -> interval reversal, 2 to {MAX_STRANDS} strands",
+        help=f"derive images s<pq> -> interval reversal, 2 to {MAX_STRANDS} strands"
+             " (a builtin's own strand count if absent)",
     )
     rs.add_argument("--budget", type=int, default=1000)
     rs.add_argument("--json", action="store_true")
@@ -271,10 +273,8 @@ def _run_rs(args: argparse.Namespace) -> int:
     if args.images:
         with open(args.images, encoding="utf-8") as handle:
             images = syntax.parse_images_file(handle.read())
-    elif args.builtin:
-        images = strand_images(pres, {"J3": 3, "J4": 4}[args.builtin])
-    elif args.strands:
-        images = strand_images(pres, args.strands)
+    elif strands := args.strands or {"J3": 3, "J4": 4}.get(args.builtin):
+        images = strand_images(pres, strands)
     else:
         raise SystemExit2("rs needs --images or --strands (or --builtin)")
     transversal = build_transversal(pres, images)

@@ -6,15 +6,15 @@ label sets are disjoint or nested.
 Every computation runs on label masks, a label set stored as the sum of 2**x,
 where that commutation is one test on the masks' intersection.  push_masks
 reduces, and is the kernel of every cactus decision; equality is one
-reduction of u v^-1; the canonical form is the least linearization of the
-reduced word, found by Kahn's algorithm over reduction_dag.  The
-Gauss-letter functions push the letters' masks and map the result back.
+reduction of u v^-1; least_linearization emits both canonical forms, the
+Gauss one here and the cactus one.  The Gauss-letter functions push the
+letters' masks and map the result back.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 
 @dataclasses.dataclass(frozen=True, order=True, slots=True)
@@ -159,32 +159,44 @@ def reduce_letters(letters: Sequence[GaussLetter]) -> tuple[GaussLetter, ...]:
     return tuple(by_mask[mask] for mask in push_masks([], _masks(letters)))
 
 
+def least_linearization(masks: Sequence[int], key: Callable, reflect: Callable) -> Iterator:
+    """Kahn's algorithm over reduction_dag(masks), masks reduced: yield the
+    least key among the sources at each step.
+
+    Sources pairwise commute and, the word being reduced, are pairwise
+    distinct, so distinct keys make the choice unambiguous.  A node is a
+    source exactly when all its ancestors have been emitted, the last of
+    them a maximal one, an edge of the reduction; so the reduction yields
+    the sources of the full DAG.  key(j) is read once, when j becomes a
+    source after the caller has handled the last yield, so it may read
+    state the caller updates.  On resuming, each source whose mask is nested
+    in the emitted one takes the key reflect(its key, the emitted key).
+    """
+    successors, blockers = reduction_dag(masks)
+    sources = [(key(j), j) for j, count in enumerate(blockers) if not count]
+    while sources:
+        least, i = min(sources) if len(sources) > 1 else sources[0]
+        yield least
+        x = masks[i]
+        sources = [(reflect(k, least), j) if masks[j] | x == x else (k, j)
+                   for k, j in sources if j != i]
+        for j in successors[i]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                sources.append((key(j), j))
+
+
 def canonical_letters(letters: Sequence[GaussLetter]) -> tuple[GaussLetter, ...]:
     """The least word, letter by letter, in the commutation class of a reduction.
 
     It depends only on the group element, since all reduced words of an
-    element form one commutation class.  Kahn's algorithm over reduction_dag
-    emits the least source at each step: sources pairwise commute and, the
-    word being reduced, are pairwise distinct, so the choice is unambiguous.
-    A node is a source exactly when all its ancestors have been emitted, and
-    the last of them to be emitted is a maximal one, an edge of the
-    reduction; so the reduction yields the sources of the full DAG.
+    element form one commutation class: the least linearization with each
+    letter as its own key, which no emission changes.
     """
     by_mask = {letter.mask: letter for letter in letters}
     masks = push_masks([], _masks(letters))
     reduced = [by_mask[mask] for mask in masks]
-    successors, blockers = reduction_dag(masks)
-    sources = [j for j, count in enumerate(blockers) if not count]
-    out = []
-    while sources:
-        best = min(sources, key=reduced.__getitem__) if len(sources) > 1 else sources[0]
-        sources.remove(best)
-        out.append(reduced[best])
-        for j in successors[best]:
-            blockers[j] -= 1
-            if not blockers[j]:
-                sources.append(j)
-    return tuple(out)
+    return tuple(least_linearization(masks, reduced.__getitem__, lambda k, _: k))
 
 
 def racg_reduce(w: GaussWord) -> GaussWord:

@@ -20,11 +20,9 @@ import itertools
 from collections.abc import Iterable
 
 from . import cactus, racg
-from .cactus import CactusLetter, CactusWord
+from .cactus import CactusLetter, CactusWord, Interval, reflect
 from .perm import Permutation
 from .racg import GaussWord
-
-Interval = tuple[int, int]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -56,12 +54,6 @@ class IntervalCollection:
 
     def __len__(self) -> int:
         return len(self.intervals)
-
-
-def reflect(inner: Interval, outer: Interval) -> Interval:
-    """Mirror a nested interval across the midpoint of its enclosing one."""
-    (m, r), (p, q) = inner, outer
-    return (p + q - r, p + q - m)
 
 
 def _nested_pairs(intervals: Iterable[Interval]):

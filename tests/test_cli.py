@@ -321,6 +321,28 @@ def test_rs_accepts_strands_at_both_limits(tmp_path, capsys):
         assert code == 0 and out.startswith("cosets: 2\n")
 
 
+def test_rs_builtin_strands_defer_to_the_flag(capsys):
+    # J3's own count, 3, applies only without --strands; s13 means nothing on 2
+    code, out, err = run(capsys, "rs", "--builtin", "J3", "--strands", "2")
+    assert code == 2 and out == ""
+    assert err == "error: cannot infer an interval from generator name 's13' for n=2\n"
+
+
+def test_rs_builtin_j4_on_five_strands_matches_four(capsys):
+    code, out, _ = run(capsys, "rs", "--builtin", "J4", "--strands", "5", "--json")
+    assert code == 0 and out == (GOLDEN / "rs_J4.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("strands", ["7", "1"])
+def test_rs_refuses_images_with_strands(tmp_path, capsys, strands):
+    images = tmp_path / "images.txt"
+    images.write_text("s12: (2,1,3)\ns13: (3,2,1)\n")
+    code, out, err = run(capsys, "rs", "--builtin", "J3", "--images", str(images),
+                         "--strands", strands)
+    assert code == 2 and out == ""
+    assert "argument --strands: not allowed with argument --images" in err
+
+
 def test_rs_from_files(tmp_path, capsys):
     pres = tmp_path / "j3.txt"
     pres.write_text("gens: s12 s13\nrels: s12^2\nrels: s13^2\n")

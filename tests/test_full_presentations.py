@@ -507,6 +507,38 @@ def test_pj5_abelianization(j5):
     assert h1_f2 == rank + sum(1 for d in factors if d % 2 == 0) == 16
 
 
+def twin_presentation(n: int) -> Presentation:
+    """The twin group Tw_n on s12, s23, ...: involutions, and a commutator
+    for each pair of letters at distance 2 or more."""
+    names = [f"s{i}{i + 1}" for i in range(1, n)]
+    relators = [positive_word(x, x) for x in names]
+    for (a, x), (b, y) in itertools.combinations(enumerate(names), 2):
+        if b - a >= 2:
+            relators.append(positive_word(x, y) + invert_word(positive_word(y, x)))
+    return Presentation(tuple(names), tuple(relators))
+
+
+@pytest.mark.parametrize("n, cosets, rank, steps", [(4, 24, 7, 19), (5, 120, 31, 211)])
+def test_pure_twin_group_is_free(n, cosets, rank, steps):
+    # PTw4 = F7 (Bardakov-Singh-Vesnin, Geom. Dedicata 2019); PTw5 = F31
+    # (Gonzalez et al., Linear motion planning with controlled collisions
+    # and pure planar braids)
+    t, raw = rs_data(twin_presentation(n), n)
+    assert len(t) == cosets
+    result = tietze_simplify(raw)
+    assert (result.steps, result.budget_exhausted) == (steps, False)
+    assert len(result.presentation.generators) == rank
+    assert result.presentation.relators == ()
+
+
+def test_pure_twin_group_on_six_strands_abelianization():
+    # PTw6 = F71 * 20 copies of Z^2 (Mostovoy-Roque-Marquez, Planar pure
+    # braids on six strands), so its abelianization is Z^111
+    t, raw = rs_data(twin_presentation(6), 6)
+    assert len(t) == 720
+    assert abelianization(raw) == (111, ())
+
+
 def sparse(matrix: list[list[int]]) -> list[dict[int, int]]:
     """The rows as {column: value} dicts without zeros, as smith_diagonal takes them."""
     return [{j: v for j, v in enumerate(row) if v} for row in matrix]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from saguaro import cactus, sampling, subgroups
+from saguaro import cactus, racg, sampling, subgroups
 from saguaro.cactus import CactusLetter, CactusWord, word
 from saguaro.perm import Permutation
 from saguaro.racg import tau
@@ -37,6 +37,35 @@ def test_reflection_closure_property():
             for outer in c.intervals:
                 if outer[0] <= inner[0] and inner[1] <= outer[1]:
                     assert subgroups.reflect(inner, outer) in c.intervals
+
+
+def leaf_group_ball(n: int, k: int, radius: int) -> set[tuple[racg.GaussLetter, ...]]:
+    """The ball of the right-angled Coxeter group on the letters t{i..i+k-1},
+    two of them commuting when disjoint, by canonical forms, breadth-first;
+    for k = 2 it is the twin group Tw_n."""
+    letters = [tau(*range(i, i + k)) for i in range(1, n - k + 2)]
+    ball, sphere = {()}, [()]
+    for _ in range(radius):
+        sphere = [g for g in {racg.canonical_letters(h + (x,)) for h in sphere for x in letters}
+                  if g not in ball]
+        ball.update(sphere)
+    return ball
+
+
+@pytest.mark.parametrize("n, k, radius, size", [
+    (6, 2, 6, 677), (7, 2, 6, 1363), (7, 3, 6, 2893), (8, 4, 6, 5329)])
+def test_k_leaf_groups_inject_into_the_cactus_group(n, k, radius, size):
+    # The source paper: Tw_n, and its k-leaf generalisation, the right-angled
+    # Coxeter group on the k-leaf letters commuting when disjoint, injects
+    # into J_n by t{i..i+k-1} -> s(i, i+k-1).
+    ball = leaf_group_ball(n, k, radius)
+    assert len(ball) == size
+    images = set()
+    for g in ball:
+        c = cactus.canonical(word(n, [(x.labels[0], x.labels[-1]) for x in g]))
+        assert len(c) == len(g) and all(letter.leaf == k for letter in c)
+        images.add(c)
+    assert len(images) == len(ball)
 
 
 def test_is_member_examples():
