@@ -1,5 +1,5 @@
 """
-Finitely presented groups: free and cyclic reduction, Tietze simplification,
+Finitely presented groups: free reduction, Tietze simplification,
 abelianization via integer Smith normal form, and the builtin presentations
 the package ships with (the 2- and 3-generator cactus groups on leftmost
 generators, and the target one-relator presentation of the first non-abelian
@@ -77,18 +77,6 @@ def free_reduce(w: SignedWord, involutive: frozenset[str] = frozenset()) -> Sign
     return tuple(out)
 
 
-def cyclic_reduce(w: SignedWord) -> SignedWord:
-    """Free reduction, also cancelling across the ends.
-
-    >>> cyclic_reduce((('x', -1), ('y', 1), ('x', 1)))
-    (('y', 1),)
-    """
-    word = list(free_reduce(w))
-    while len(word) >= 2 and word[0][0] == word[-1][0] and word[0][1] == -word[-1][1]:
-        word = word[1:-1]
-    return tuple(word)
-
-
 def _natural_key(name: str) -> tuple:
     """Name order with digit runs compared numerically, so g9 < g10: the
     split leaves the digit runs at the odd places."""
@@ -102,7 +90,9 @@ IndexWord = tuple[int, ...]
 
 
 def _substitute(w: IndexWord, g: int, replacement: IndexWord, inverse: IndexWord) -> IndexWord:
-    """w with g spelled as replacement and -g as inverse, cyclically reduced."""
+    """w with g spelled as replacement and -g as inverse, cyclically reduced,
+    in one pass over w.  No letter is 0, so with g = 0 nothing is spelled
+    and this is the cyclic reduction of w."""
     out: list[int] = []
     for x in w:
         if x == g:
@@ -180,11 +170,13 @@ def _joined(w: IndexWord, i: int, spelled: IndexWord) -> int | None:
 class _Tietze:
     """The state of one greedy elimination loop, kept between its steps.
 
-    Relators are index words under ids that follow their position, cyclically
-    reduced, one per class up to rotation and inversion, with their class
-    keys and the occurrence index.  A candidate is a pivot relator, of length
-    l, and a generator g once in it; its total, the length change it makes,
-    is -l plus the change of each other relator holding g.
+    Relators are index words under ids that follow their position, with their
+    class keys and the occurrence index.  Each enters through _store, read
+    from the input or rewritten by a step, cyclically reduced by _substitute;
+    the lowest id of a class up to rotation and inversion survives.  A
+    candidate is a pivot relator, of length l, and a generator g once in it;
+    its total, the length change it makes, is -l plus the change of each
+    other relator holding g.
 
     The neighbour argument.  Read a relator w of length n >= 2 holding g once
     as the cyclic word g C, g with exponent +1: C is reduced, and g's left
@@ -228,17 +220,24 @@ class _Tietze:
         index = {name: g for g, name in enumerate(p.generators, start=1)}
         seen: set[IndexWord] = set()  # exact repeats share a key: skip them unkeyed
         for rid, rel in enumerate(p.relators):
-            w = tuple(index[name] * sign for name, sign in cyclic_reduce(rel))
-            if not w or w in seen:
-                continue
-            seen.add(w)
-            key = _class_key(w)
-            if key not in self.owner:
-                self._add(rid, w, key)
+            w = _substitute(tuple(index[name] * sign for name, sign in rel), 0, (), ())
+            if w not in seen:
+                seen.add(w)
+                self._store(rid, w, set())
         for g in self.occurs:
             self._count(g)
 
-    def _add(self, rid: int, w: IndexWord, key: IndexWord) -> None:
+    def _store(self, rid: int, w: IndexWord, touched: set[int]) -> None:
+        """Keep the cyclically reduced w as relator rid unless it is empty or
+        a lower id holds its class; a higher-id holder is dropped (_drop)."""
+        if not w:
+            return
+        key = _class_key(w)
+        holder = self.owner.get(key)
+        if holder is not None:
+            if holder < rid:
+                return
+            self._drop(holder, touched)
         self.relators[rid] = w
         self.keys[rid] = key
         self.owner[key] = rid
@@ -329,16 +328,7 @@ class _Tietze:
         del self.occurs[g]
         self.live -= len(self.counts.pop(g)[1])
         for rj, old in zip(rewritten, olds):
-            new = _substitute(old, g, replacement, inverse)
-            if not new:
-                continue
-            key = _class_key(new)
-            holder = self.owner.get(key)
-            if holder is not None and holder < rj:
-                continue
-            if holder is not None:
-                self._drop(holder, touched)
-            self._add(rj, new, key)
+            self._store(rj, _substitute(old, g, replacement, inverse), touched)
         touched.discard(g)
         for h in touched:
             self._count(h)

@@ -142,11 +142,13 @@ def _sphere_sizes_by_moves(n: int, radius: int) -> list[int]:
 
 def check_centerless(rng: random.Random, sizes: Sizes) -> list[str]:
     failures = []
-    gens = [word(4, [pq]) for pq in [(1, 2), (1, 3), (1, 4)]]
-    central = [c for c in itertools.chain.from_iterable(spheres(4, 3))
-               if all(cactus.commute(c, g) for g in gens)]
-    if len(central) != 1 or central[0].letters != ():
-        failures.append(f"central elements of length <= 3: {[str(c) for c in central]}")
+    for n, radius, letters in ((4, 3, [(1, 2), (1, 3), (1, 4)]),
+                               (5, 4, itertools.combinations(range(1, 6), 2))):
+        gens = [word(n, [pq]) for pq in letters]
+        central = [c for c in itertools.chain.from_iterable(spheres(n, radius))
+                   if all(cactus.commute(c, g) for g in gens)]
+        if len(central) != 1 or central[0].letters != ():
+            failures.append(f"J{n} central elements of length <= {radius}: {[str(c) for c in central]}")
     for n in range(3, 7):
         d1 = cactus.read_diagram(word(n, [(1, n), (1, 2)])).gauss
         d2 = cactus.read_diagram(word(n, [(1, 2), (1, n)])).gauss
@@ -419,7 +421,7 @@ CHECKS: tuple[tuple[int, str, Check, float | None], ...] = (
     (3, "conjugation identities", check_conjugation_identities, None),
     (4, "torsion witness orders 2, 4, 8", check_torsion_witnesses, 10),
     (5, "orders found are powers of two; pure elements torsion-free", check_torsion_parity, 10),
-    (6, "centerlessness at desk scale", check_centerless, None),
+    (6, "centerlessness at desk scale", check_centerless, 10),
     (7, "three-strand structure", check_j3_structure, None),
     (8, "pure four-strand identity suite", check_pj4_identities, None),
     (9, "subgroup presentation pipeline, three strands", check_rs_j3, None),
@@ -432,7 +434,12 @@ CHECKS: tuple[tuple[int, str, Check, float | None], ...] = (
 
 
 def seed_from_env() -> int:
-    return int(os.environ.get("SAGUARO_SEED", DEFAULT_SEED))
+    value = os.environ.get("SAGUARO_SEED", str(DEFAULT_SEED))
+    try:
+        return int(value)
+    except ValueError:  # not a literal, or over int()'s digit limit
+        shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
+        raise ValueError(f"SAGUARO_SEED={shown} is not an integer seed") from None
 
 
 def run_criterion(number: int, check: Check, limit: float | None, sizes: Sizes, seed: int):

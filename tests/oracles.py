@@ -40,7 +40,10 @@ that built a Permutation and the render that appended three strings per
 strand at each crossing; the order that pushed c^m whatever m, before the
 torsion theorem let it stop when m is not a power of two; the word
 parsers that scanned each term with two regex calls, building a letter
-object per term; and the reduction, membership and canonical form that
+object per term; the cyclic reduction of named words that stripped each
+cancelling end pair with a slice, quadratic in the word, which the Tietze
+intake ran before it reduced index words with the step's own loop; and the
+reduction, membership and canonical form that
 spelled each letter from a strand -> position list, mirroring the
 positions of its strands one by one.
 
@@ -75,7 +78,6 @@ from saguaro.presentation import (
     Presentation,
     SignedWord,
     SimplifiedPresentation,
-    cyclic_reduce,
     free_reduce,
     invert_word,
 )
@@ -1048,6 +1050,18 @@ class _Descending:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _Descending) and self.key == other.key
+
+
+def cyclic_reduce(w: SignedWord) -> SignedWord:
+    """Free reduction, also cancelling across the ends.
+
+    >>> cyclic_reduce((('x', -1), ('y', 1), ('x', 1)))
+    (('y', 1),)
+    """
+    word = list(free_reduce(w))
+    while len(word) >= 2 and word[0][0] == word[-1][0] and word[0][1] == -word[-1][1]:
+        word = word[1:-1]
+    return tuple(word)
 
 
 def _substitute(w: SignedWord, name: str, replacement: SignedWord) -> SignedWord:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -435,6 +436,25 @@ def test_rs_over_the_coset_table_bound_exits_2_naming_it(tmp_path, monkeypatch, 
     assert "MAX_COSET_ENTRIES = 20000 coset table entries, 2000 per coset" in err
 
 
+def test_rs_reduces_a_long_conjugate_relator_in_linear_time(tmp_path, capsys):
+    # a^40000 b a^-40000 cyclically reduces to b; cancelling its end pairs
+    # one by one with a slice each, quadratic in the word, takes several seconds
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: a b\nrels: a^10000 a^10000 a^10000 a^10000 b"
+                    " a^-10000 a^-10000 a^-10000 a^-10000\n")
+    assert len(pres.read_bytes()) == 86
+    images = tmp_path / "images.txt"
+    images.write_text("a: (1,2)\nb: (1,2)\n")
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "rs", "--presentation", str(pres), "--images", str(images), "--json"
+    )
+    assert code == 0 and time.perf_counter() - start < 5
+    payload = json.loads(out)
+    assert payload["generators"] == ["a_k1_a"] and payload["relators"] == []
+    assert payload["abelianization"] == {"rank": 1, "factors": []}
+
+
 def test_rs_non_homomorphism_exits_2_naming_the_relator(tmp_path, capsys):
     pres = tmp_path / "p.txt"
     pres.write_text("gens: x\nrels: x^2\n")
@@ -502,9 +522,19 @@ def test_selftest_lines_end_with_the_criterion_time():
         assert head.startswith("ok  ") and seconds.endswith(" s)") and float(seconds[:-3]) >= 0
 
 
-def test_only_the_torsion_criteria_have_a_time_limit():
+def test_only_the_torsion_and_centre_criteria_have_a_time_limit():
     limits = {number: limit for number, _, _, limit in selftest.CHECKS}
-    assert limits == {number: 10 if number in (4, 5) else None for number in range(1, 15)}
+    assert limits == {number: 10 if number in (4, 5, 6) else None for number in range(1, 15)}
+
+
+@pytest.mark.parametrize("value,shown", [
+    ("abc", "'abc'"), ("9" * 5000, "'99999999999999999999'... (5000 characters)"),
+], ids=["letters", "5000-digits"])
+def test_selftest_names_a_bad_seed_variable(monkeypatch, capsys, value, shown):
+    monkeypatch.setenv("SAGUARO_SEED", value)
+    code, out, err = run(capsys, "selftest", "--quick")
+    assert code == 2 and out == ""
+    assert err == f"error: SAGUARO_SEED={shown} is not an integer seed\n"
 
 
 def test_a_criterion_at_or_over_its_limit_fails_in_run_and_in_the_runner(monkeypatch):

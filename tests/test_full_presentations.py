@@ -241,7 +241,8 @@ def test_tietze_costing_substitutes_only_where_lengths_can_cancel(raw_j4, monkey
     # per-relator changes between steps took 381 and 103.  Costing a
     # candidate exactly only when its bound surfaces, and then reading the
     # joins of the relators holding g once, takes 9 and 41, in 18 and 102
-    # exact costings.
+    # exact costings.  The intake reduces each input relator with one call
+    # that substitutes for no generator (g = 0).
     calls, exact = [], []
     substitute, cost = presentation._substitute, presentation._Tietze._exact
     monkeypatch.setattr(
@@ -250,12 +251,16 @@ def test_tietze_costing_substitutes_only_where_lengths_can_cancel(raw_j4, monkey
     monkeypatch.setattr(
         presentation._Tietze, "_exact", lambda *args: exact.append(args) or cost(*args)
     )
-    tietze_simplify(raw_j4, 1)
-    assert (len(calls), len(exact)) == (9, 18)
-    calls.clear()
-    exact.clear()
-    tietze_simplify(raw_rs(builtin("J4"), 4))
-    assert (len(calls), len(exact)) == (41, 102)
+    builtin_j4 = raw_rs(builtin("J4"), 4)
+    for p, budget, (intake, costing, costed) in (
+        (raw_j4, 1, (338, 9, 18)), (builtin_j4, 1000, (74, 41, 102)),
+    ):
+        calls.clear()
+        exact.clear()
+        tietze_simplify(p, budget)
+        at_intake = sum(g == 0 for _, g, _, _ in calls)
+        assert at_intake == len(p.relators) == intake
+        assert (len(calls) - at_intake, len(exact)) == (costing, costed)
 
 
 def assert_bounds_hold(p: Presentation) -> None:
@@ -312,7 +317,7 @@ def test_tietze_matches_costed_loop_on_random_presentations():
         fixpoint = assert_matches_costed_loop(p)
         for budget in range(fixpoint + 2):
             assert tietze_simplify(p, budget) == oracles.costed_tietze_simplify(p, budget)
-        words = [presentation.cyclic_reduce(rel) for rel in p.relators]
+        words = [oracles.cyclic_reduce(rel) for rel in p.relators]
         features = {
             "empty relator": any(not w for w in words),
             "length-1 pivot": any(len(w) == 1 for w in words),

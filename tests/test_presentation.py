@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from oracles import cyclic_reduce
 from saguaro import cactus, presentation, rschreier
 from saguaro.cactus import word
 from saguaro.presentation import (
     Presentation,
     abelianization,
     builtin,
-    cyclic_reduce,
     free_reduce,
     involutive_generators,
     positive_word,
@@ -24,6 +24,16 @@ def test_free_reduce_examples():
     assert free_reduce(()) == ()
 
 
+def intake_reduce(w):
+    """The cyclic reduction that _Tietze runs on an index word as it reads it."""
+    return presentation._substitute(w, 0, (), ())
+
+
+def coded(w):
+    """A word in the names a, b, c as a signed index word."""
+    return tuple(("abc".index(name) + 1) * sign for name, sign in w)
+
+
 def test_reduces_idempotent_and_shorter():
     rng = random.Random(40)
     names = ["a", "b", "c"]
@@ -31,8 +41,24 @@ def test_reduces_idempotent_and_shorter():
         w = tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(0, 12)))
         fr = free_reduce(w)
         assert free_reduce(fr) == fr and len(fr) <= len(w)
-        cr = cyclic_reduce(w)
-        assert cyclic_reduce(cr) == cr and len(cr) <= len(fr)
+        cr = intake_reduce(coded(w))
+        assert intake_reduce(cr) == cr and len(cr) <= len(fr)
+
+
+def test_intake_reduction_matches_the_named_cyclic_reduction():
+    # conjugates a^k w a^-k, words that reduce to nothing and random words
+    rng = random.Random(28)
+    words = []
+    for _ in range(300):
+        w = tuple((rng.choice("abc"), rng.choice((1, -1))) for _ in range(rng.randint(0, 10)))
+        a = ((rng.choice("abc"), rng.choice((1, -1))),) * rng.randint(0, 6)
+        words += [w, a + w + presentation.invert_word(a), w + presentation.invert_word(w)]
+    empty = 0
+    for w in words:
+        expected = coded(cyclic_reduce(w))
+        assert intake_reduce(coded(w)) == expected
+        empty += not expected
+    assert empty >= 300
 
 
 def test_tietze_substitution_example():
