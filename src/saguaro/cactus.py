@@ -50,16 +50,6 @@ class CactusLetter:
     def leaf(self) -> int:
         return self.q - self.p + 1
 
-    def reflect_in(self, outer: CactusLetter) -> CactusLetter:
-        """Mirror this interval across the midpoint of an enclosing one."""
-        return CactusLetter(*reflect((self.p, self.q), (outer.p, outer.q)))
-
-    def nested_in(self, other: CactusLetter) -> bool:
-        return other.p <= self.p and self.q <= other.q
-
-    def disjoint_from(self, other: CactusLetter) -> bool:
-        return self.q < other.p or other.q < self.p
-
     def __str__(self) -> str:
         return f"s({self.p},{self.q})"
 
@@ -165,12 +155,13 @@ def exchange_left(x: CactusLetter, y: CactusLetter) -> tuple[CactusLetter, Cactu
     >>> exchange_left(CactusLetter(1, 3), CactusLetter(2, 4)) is None
     True
     """
-    if x.disjoint_from(y):
+    (a, b), (c, d) = (x.p, x.q), (y.p, y.q)
+    if b < c or d < a:
         return (y, x)
-    if y.nested_in(x):
-        return (y.reflect_in(x), x)
-    if x.nested_in(y):
-        return (y, x.reflect_in(y))
+    if a <= c and d <= b:
+        return (CactusLetter(*reflect((c, d), (a, b))), x)
+    if c <= a and b <= d:
+        return (y, CactusLetter(*reflect((a, b), (c, d))))
     return None
 
 

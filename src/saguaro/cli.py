@@ -36,6 +36,13 @@ MAX_INTERVALS = 2_500
 # blocks s(a,a+1) s(a+2,a+3) s(a,a+3) (m = 2), whose readings all commute.
 MAX_POWER_LETTERS = 15_000
 
+# Most crossed labels, the sum of q - p + 1 over the letters, that `image` and
+# `render` accept, counted after the word is parsed and before the diagram is
+# read: both write out every label of every crossing, so a short argument such
+# as s(1,10000) repeated asks for output in proportion to its leaves.  At this
+# size `render` takes about 0.25 s and 100 MiB and writes a 17 MB SVG.
+MAX_CROSSED_LABELS = 500_000
+
 
 def _word_argument(parser: argparse.ArgumentParser, count: int = 1) -> None:
     parser.add_argument(
@@ -52,6 +59,16 @@ def _parse_word(args: argparse.Namespace, name: str = "word") -> cactus.CactusWo
         return syntax.parse_cactus_word(getattr(args, name), args.n)
     except ValueError as exc:
         raise SystemExit2(f"{name}: {exc}") from None
+
+
+def _parse_diagram_word(args: argparse.Namespace) -> cactus.CactusWord:
+    """Parse the word of `image` or `render`, refusing one with too many crossed labels."""
+    w = _parse_word(args)
+    if (crossed := sum(letter.leaf for letter in w.letters)) > MAX_CROSSED_LABELS:
+        raise SystemExit2(
+            f"word crosses {crossed} labels, more than MAX_CROSSED_LABELS = {MAX_CROSSED_LABELS}"
+        )
+    return w
 
 
 def _print_read_result(r: cactus.ReadResult, as_json: bool) -> None:
@@ -213,7 +230,7 @@ def run(args: argparse.Namespace) -> int:
         print("absent" if m > args.bound else cactus._power_order(w, m, blocks, labels) or "infinite")
         return 0
     if args.command == "image":
-        r = cactus.read_diagram(_parse_word(args))
+        r = cactus.read_diagram(_parse_diagram_word(args))
         _print_read_result(r, args.json)
         return 0
     if args.command == "pure":
@@ -253,7 +270,7 @@ def run(args: argparse.Namespace) -> int:
             print(f"{'ok  ' if ok else 'FAIL'} {name}")
         return 0 if report.passed else 1
     if args.command == "render":
-        w = _parse_word(args)
+        w = _parse_diagram_word(args)
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(render_svg(w, labels=args.labels))
         return 0

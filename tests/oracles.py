@@ -42,10 +42,11 @@ torsion theorem let it stop when m is not a power of two; the word
 parsers that scanned each term with two regex calls, building a letter
 object per term; the cyclic reduction of named words that stripped each
 cancelling end pair with a slice, quadratic in the word, which the Tietze
-intake ran before it reduced index words with the step's own loop; and the
+intake ran before it reduced index words with the step's own loop; the
 reduction, membership and canonical form that
 spelled each letter from a strand -> position list, mirroring the
-positions of its strands one by one.
+positions of its strands one by one; and the exchange move that read the
+interval relations through three single-use CactusLetter methods.
 
 The last part holds helpers that only tests use: the cancellable pairs and
 letter multiset of a Gauss word, and the matcher of one-relator
@@ -1935,6 +1936,42 @@ def scan_parse_presentation(text: str) -> Presentation:
         else:
             raise WordSyntaxError("expected 'gens:' or 'rels:'", indent)
     return Presentation(tuple(generators), tuple(relators))
+
+
+# The exchange move as it was when it read the interval relations through
+# three CactusLetter methods; the methods are functions here, prefixed with
+# _predicate_, and the move is predicate_exchange_left, bodies verbatim but
+# for calling these functions in place of the methods.
+
+
+def _predicate_reflect_in(self: CactusLetter, outer: CactusLetter) -> CactusLetter:
+    """Mirror this interval across the midpoint of an enclosing one."""
+    return CactusLetter(*reflect((self.p, self.q), (outer.p, outer.q)))
+
+
+def _predicate_nested_in(self: CactusLetter, other: CactusLetter) -> bool:
+    return other.p <= self.p and self.q <= other.q
+
+
+def _predicate_disjoint_from(self: CactusLetter, other: CactusLetter) -> bool:
+    return self.q < other.p or other.q < self.p
+
+
+def predicate_exchange_left(x: CactusLetter, y: CactusLetter) -> tuple[CactusLetter, CactusLetter] | None:
+    """Rewrite x.y as y'.x' by one commutation or commutation-conjugation.
+
+    Disjoint intervals commute; a nested interval passes through the enclosing
+    one reflected.  Overlapping, non-nested intervals admit no move: the
+    result is None.  Equal letters return (x, x); callers that reduce must
+    test equality first and annihilate instead.
+    """
+    if _predicate_disjoint_from(x, y):
+        return (y, x)
+    if _predicate_nested_in(y, x):
+        return (_predicate_reflect_in(y, x), x)
+    if _predicate_nested_in(x, y):
+        return (y, _predicate_reflect_in(x, y))
+    return None
 
 
 def cancellable_pairs(letters: Sequence[L], commute: CommutationPredicate) -> list[tuple[int, int]]:

@@ -41,7 +41,7 @@ def test_exchange_left_cases():
     )
     assert cactus.exchange_left(CactusLetter(1, 3), CactusLetter(2, 4)) is None
     assert cactus.exchange_left(CactusLetter(1, 2), CactusLetter(1, 4)) == (
-        CactusLetter(1, 4), CactusLetter(1, 2).reflect_in(CactusLetter(1, 4)),
+        CactusLetter(1, 4), CactusLetter(3, 4),
     )
 
 

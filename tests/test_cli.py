@@ -9,6 +9,7 @@ from saguaro import cactus, cli, presentation, rschreier, selftest, syntax
 from saguaro.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -505,6 +506,49 @@ def test_render_writes_file(tmp_path, capsys):
     assert code == 0
     content = target.read_text()
     assert content.startswith("<svg") and content.rstrip().endswith("</svg>")
+
+
+def test_image_and_render_refuse_too_many_crossed_labels_before_reading(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("diagram read")
+
+    monkeypatch.setattr(cactus, "read_diagram", fail)
+    monkeypatch.setattr(cli, "render_svg", fail)
+    word = " ".join(["s(1,10000)"] * 400)  # 4,000,000 crossed labels
+    assert len(word) == 4399
+    target = tmp_path / "w.svg"
+    for argv in (["image", "-n", "10000", word], ["image", "-n", "10000", word, "--json"],
+                 ["render", "-n", "10000", word, "-o", str(target)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "word crosses 4000000 labels, more than MAX_CROSSED_LABELS = 500000" in err
+    assert not target.exists()
+
+
+def test_image_and_render_accept_a_word_at_the_crossed_label_cap(tmp_path, monkeypatch, capsys):
+    word = " ".join(["s(1,10000)"] * 50)  # 500,000 crossed labels
+    code, out, _ = run(capsys, "image", "-n", "10000", word, "--json")
+    assert code == 0 and sum(map(len, json.loads(out)["gauss"])) == cli.MAX_CROSSED_LABELS
+    # render at a lowered cap: at the default one the SVG alone is 17 MB
+    monkeypatch.setattr(cli, "MAX_CROSSED_LABELS", 20_000)
+    target = tmp_path / "w.svg"
+    word = "s(1,10000) s(1,10000)"
+    code, _, _ = run(capsys, "render", "-n", "10000", word, "-o", str(target))
+    assert code == 0 and target.read_text().rstrip().endswith("</svg>")
+    monkeypatch.setattr(cli, "MAX_CROSSED_LABELS", 19_999)
+    for argv in (["image", "-n", "10000", word], ["render", "-n", "10000", word, "-o", str(target)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "word crosses 20000 labels" in err
+
+
+def test_readme_names_every_cap():
+    text = README.read_text(encoding="utf-8")
+    caps = [f"{module.__name__.rpartition('.')[2]}.{name}"
+            for module in (cli, syntax, rschreier) for name in vars(module) if name.startswith("MAX_")]
+    assert len(caps) >= 8
+    assert [cap for cap in caps if f"`{cap}`" not in text] == []
 
 
 def test_selftest_quick(capsys):

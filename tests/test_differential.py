@@ -400,6 +400,25 @@ def test_slice_matches_all_pairs_filter():
                 assert got == oracles.slice_intervals(n, i, j), (n, i, j)
 
 
+def test_exchange_left_matches_the_predicate_exchange_on_every_pair():
+    # Every ordered pair of intervals for n <= 8: no move exactly on crossing
+    # pairs, otherwise the same element, spelled as the old method-based move.
+    crossing = 0
+    for n in range(2, 9):
+        letters = [CactusLetter(p, q) for p in range(1, n) for q in range(p + 1, n + 1)]
+        for x in letters:
+            for y in letters:
+                (a, b), (c, d) = (x.p, x.q), (y.p, y.q)
+                moved = cactus.exchange_left(x, y)
+                assert moved == oracles.predicate_exchange_left(x, y), (x, y)
+                if a < c <= b < d or c < a <= d < b:
+                    assert moved is None, (x, y)
+                    crossing += 1
+                else:
+                    assert cactus.equal(cactus.CactusWord(n, (x, y)), cactus.CactusWord(n, moved)), (x, y)
+    assert crossing > 0
+
+
 def random_collection(n: int, rng: random.Random) -> subgroups.IntervalCollection:
     """Up to n + 3 intervals, about a third of them sharing a left end with an
     earlier one, so that ties in the left end are common."""
