@@ -12,15 +12,16 @@ reduces to the empty word, and u = v iff u v^-1 is trivial.  Reduced and
 canonical cactus words are re-spellings of the reduced and canonical Gauss
 words: replayed from the start, each Gauss letter finds its strands in one
 block of positions p..q, is spelled s(p, q) and crosses it, reversing it.
-walk reads the diagram once into its list of crossed blocks.  The decisions
-label strand s by the bit 2**s, so a crossing's label mask is the sum of its
-block, and push the masks through racg.push_masks.
+walk reads the diagram once, reversing each crossed block in place, and
+keeps only what its caller reads of each block.  The decisions label strand
+s by the bit 2**s, so a crossing's label mask is the sum of its block, and
+push the masks through racg.push_masks.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from . import racg
 from .perm import Permutation, cycle_order
@@ -109,16 +110,18 @@ class ReadResult:
     perm: Permutation
 
 
-def walk(letters: Iterable[CactusLetter], labels: list[int]) -> list[list[int]]:
+def walk(letters: Iterable[CactusLetter], labels: list[int], read: Callable = sum) -> list:
     """The diagram walk.  labels[pos - 1] labels the strand at position pos;
-    for each letter, record the block of labels at positions p..q and reverse
-    it in place.  Returns the blocks; labels ends as the final label state."""
-    blocks = []
+    for each letter, read the block of labels at positions p..q, then reverse
+    it in place.  Returns the reads, by default each block's sum, and keeps
+    no block; labels ends as the final label state."""
+    reads = []
     for letter in letters:
         block = labels[letter.p - 1 : letter.q]
-        blocks.append(block)
-        labels[letter.p - 1 : letter.q] = block[::-1]
-    return blocks
+        reads.append(read(block))
+        block.reverse()
+        labels[letter.p - 1 : letter.q] = block
+    return reads
 
 
 def read_diagram(w: CactusWord) -> ReadResult:
@@ -130,7 +133,7 @@ def read_diagram(w: CactusWord) -> ReadResult:
     ('t{1,2} t{1,3,4} t{2,3,4}', '(4,3,1,2)')
     """
     labels = list(range(1, w.n + 1))
-    out = tuple(GaussLetter(tuple(sorted(block))) for block in walk(w.letters, labels))
+    out = tuple(GaussLetter(tuple(block)) for block in walk(w.letters, labels, sorted))
     return ReadResult(GaussWord(w.n, out), Permutation(tuple(labels)).inverse())
 
 
@@ -138,7 +141,7 @@ def s_image(w: CactusWord) -> Permutation:
     """The strand permutation of a word (the morphism the diagram induces),
     read from the final label state of the walk alone."""
     labels = list(range(1, w.n + 1))
-    walk(w.letters, labels)
+    walk(w.letters, labels, len)
     return Permutation(tuple(labels)).inverse()
 
 
@@ -184,7 +187,7 @@ def _push_reading(letters: Iterable[CactusLetter], labels: list[int],
                   reduced: list[int]) -> list[int]:
     """Push the Gauss letters that `letters` read from a label state of bits,
     as label masks, onto a reduced word and return it."""
-    return racg.push_masks(reduced, map(sum, walk(letters, labels)))
+    return racg.push_masks(reduced, walk(letters, labels))
 
 
 def reduced_spans(w: CactusWord) -> Iterator[tuple[int, int]]:
@@ -294,7 +297,7 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
     state of one walk of c.  If m exceeds the bound or is not a power of
     two, nothing is pushed; otherwise c has finite order iff c^m is trivial,
     which the Gauss side decides, a power being trivial iff its reduced
-    reading is empty.  The walk's blocks give the first copy and the other
+    reading is empty.  The walk's masks give the first copy and the other
     m - 1 copies are pushed; a power of two that is the order of a
     permutation of n points is one of its cycle lengths, so m <= n.
 
@@ -305,22 +308,22 @@ def order(c: CactusWord, bound: int = 64) -> int | None:
     """
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
-    m, blocks, labels = _strand_order(c)
-    return None if m > bound else _power_order(c, m, blocks, labels)
+    m, masks, labels = _strand_order(c)
+    return None if m > bound else _power_order(c, m, masks, labels)
 
 
-def _strand_order(c: CactusWord) -> tuple[int, list[list[int]], list[int]]:
-    """From one walk of c: m, the walk's blocks and the final label state."""
+def _strand_order(c: CactusWord) -> tuple[int, list[int], list[int]]:
+    """From one walk of c: m, the walk's label masks and the final label state."""
     labels = _bits(c.n)
-    blocks = walk(c.letters, labels)
-    return cycle_order([x.bit_length() - 1 for x in labels]), blocks, labels
+    masks = walk(c.letters, labels)
+    return cycle_order([x.bit_length() - 1 for x in labels]), masks, labels
 
 
-def _power_order(c: CactusWord, m: int, blocks: list[list[int]], labels: list[int]) -> int | None:
+def _power_order(c: CactusWord, m: int, masks: list[int], labels: list[int]) -> int | None:
     """order(c) from what _strand_order(c) returned, whatever the bound."""
     if m & (m - 1):
         return None
-    reduced = racg.push_masks([], map(sum, blocks))
+    reduced = racg.push_masks([], masks)
     for _ in range(m - 1):
         _push_reading(c.letters, labels, reduced)
     return None if reduced else m

@@ -32,7 +32,7 @@ MAX_INTERVALS = 2_500
 # Longest power c^m (m the order of the strand permutation) that `order`
 # pushes, checked only when it pushes: m at most --bound and a power of two,
 # so m <= n.  The push is quadratic in m * len(c) when little cancels: about
-# 11 s at this size for the worst word found, n = 10,000 and c the 2,500
+# 10 s at this size for the worst word found, n = 10,000 and c the 2,500
 # blocks s(a,a+1) s(a+2,a+3) s(a,a+3) (m = 2), whose readings all commute.
 MAX_POWER_LETTERS = 15_000
 
@@ -42,6 +42,13 @@ MAX_POWER_LETTERS = 15_000
 # as s(1,10000) repeated asks for output in proportion to its leaves.  At this
 # size `render` takes about 0.25 s and 100 MiB and writes a 17 MB SVG.
 MAX_CROSSED_LABELS = 500_000
+
+# Most conjugator letters `decompose` may print: the sum, over the small
+# letters, of the big letters before each, counted after the word is parsed.
+# Output and time grow with the square of the word: s(1,3) s(1,2) s(2,4)
+# s(1,2) repeated to 1,996 letters, -n 4 --min-leaf 3, sums to 498,501,
+# takes about 1.4 s and prints 3.5 MB.
+MAX_DECOMPOSE_LETTERS = 500_000
 
 
 def _word_argument(parser: argparse.ArgumentParser, count: int = 1) -> None:
@@ -222,12 +229,12 @@ def run(args: argparse.Namespace) -> int:
         if args.bound < 1:
             raise SystemExit2(f"--bound must be >= 1, got {args.bound}")
         w = _parse_word(args)
-        m, blocks, labels = cactus._strand_order(w)
+        m, masks, labels = cactus._strand_order(w)
         if m <= args.bound and not m & (m - 1) and m * len(w) > MAX_POWER_LETTERS:
             raise SystemExit2(
                 f"c^{m} has {m * len(w)} letters, more than MAX_POWER_LETTERS = {MAX_POWER_LETTERS}"
             )
-        print("absent" if m > args.bound else cactus._power_order(w, m, blocks, labels) or "infinite")
+        print("absent" if m > args.bound else cactus._power_order(w, m, masks, labels) or "infinite")
         return 0
     if args.command == "image":
         r = cactus.read_diagram(_parse_diagram_word(args))
@@ -244,6 +251,15 @@ def run(args: argparse.Namespace) -> int:
         return 0
     if args.command == "decompose":
         w = _parse_word(args)
+        bigs = letters = 0
+        for letter in w.letters:
+            if letter.leaf < args.min_leaf:
+                letters += bigs
+            else:
+                bigs += 1
+        if letters > MAX_DECOMPOSE_LETTERS:
+            raise SystemExit2(f"the conjugators may have {letters} letters,"
+                              f" more than MAX_DECOMPOSE_LETTERS = {MAX_DECOMPOSE_LETTERS}")
         pieces = subgroups.kernel_decompose(args.min_leaf, w)
         if args.json:
             print(json.dumps([

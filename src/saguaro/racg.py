@@ -96,8 +96,9 @@ def push_masks(out: list[int], masks: Iterable[int]) -> list[int]:
     """
     for mask in masks:
         i = len(out)
-        for other in reversed(out):
+        while i:
             i -= 1
+            other = out[i]
             if other == mask:
                 del out[i]
                 break

@@ -34,7 +34,7 @@ def render_svg(w: CactusWord, labels: bool = False) -> str:
     points = [[f"0,{y[strand]}"] for strand in range(w.n + 1)]  # "x,y ..." strings per strand
     texts = []
     x = MARGIN
-    for letter, block in zip(w.letters, walk(w.letters, tracks)):
+    for letter, block in zip(w.letters, walk(w.letters, tracks, tuple)):
         p, q = letter.p, letter.q
         left, middle, right = str(x), f" {x + COLUMN // 2},{(y[p] + y[q]) // 2} ", str(x + COLUMN)
         for pos, strand in enumerate(block, start=p):

@@ -45,8 +45,11 @@ cancelling end pair with a slice, quadratic in the word, which the Tietze
 intake ran before it reduced index words with the step's own loop; the
 reduction, membership and canonical form that
 spelled each letter from a strand -> position list, mirroring the
-positions of its strands one by one; and the exchange move that read the
-interval relations through three single-use CactusLetter methods.
+positions of its strands one by one; the exchange move that read the
+interval relations through three single-use CactusLetter methods; and the
+reading kernel whose walk kept every crossed block for its caller, writing
+back a reversed copy of each, and whose push scanned back with a reversed()
+iterator.
 
 The last part holds helpers that only tests use: the cancellable pairs and
 letter multiset of a Gauss word, and the matcher of one-relator
@@ -899,6 +902,51 @@ def gen_push_masks(out: list[int], masks: Iterable[int]) -> list[int]:
     for mask in masks:
         for i in range(len(out) - 1, -1, -1):
             other = out[i]
+            if other == mask:
+                del out[i]
+                break
+            common = other & mask
+            if common and common != other and common != mask:
+                out.append(mask)
+                break
+        else:
+            out.append(mask)
+    return out
+
+
+# The reading kernel as it was before the walk read each block as it went:
+# the walk that kept every crossed block and wrote back a reversed copy, and
+# the push that scanned back with a reversed() iterator; bodies verbatim,
+# renamed.
+
+
+def block_walk(letters: Iterable[CactusLetter], labels: list[int]) -> list[list[int]]:
+    """The diagram walk.  labels[pos - 1] labels the strand at position pos;
+    for each letter, record the block of labels at positions p..q and reverse
+    it in place.  Returns the blocks; labels ends as the final label state."""
+    blocks = []
+    for letter in letters:
+        block = labels[letter.p - 1 : letter.q]
+        blocks.append(block)
+        labels[letter.p - 1 : letter.q] = block[::-1]
+    return blocks
+
+
+def reversed_push_masks(out: list[int], masks: Iterable[int]) -> list[int]:
+    """Append masks one at a time to a reduced word, keeping it reduced.
+
+    In a right-angled Coxeter group a word shortens exactly by deleting two
+    equal letters separated only by letters commuting with them, and all
+    reduced words of an element form one commutation class.  So, scanning
+    backwards, an equal mask reachable through commuting masks annihilates
+    with the new one; the first non-commuting mask blocks any earlier copy,
+    so the scan may stop there.  Appending otherwise cannot create a new
+    cancellable pair, hence the invariant.
+    """
+    for mask in masks:
+        i = len(out)
+        for other in reversed(out):
+            i -= 1
             if other == mask:
                 del out[i]
                 break

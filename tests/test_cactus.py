@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -135,7 +136,7 @@ def test_order_examples():
 
 
 def test_order_pushes_m_copies_whatever_the_bound(monkeypatch):
-    # One walk reads m; the walk's blocks are the first copy of c^m and each
+    # One walk reads m; the walk's masks are the first copy of c^m and each
     # further copy is one more walk.  s(1,2) s(1,3) has m = 3, not a power of
     # two, so it is decided infinite from that walk alone; s(1,2) s(1,4) has
     # m = 4 and takes four walks, however large the bound.
@@ -153,6 +154,22 @@ def test_order_pushes_m_copies_whatever_the_bound(monkeypatch):
     walks.clear()
     assert cactus.order(word(4, [(1, 2), (1, 4)]), bound=10**12) == 4
     assert len(walks) == 4
+
+
+def test_decisions_keep_no_crossed_block():
+    # s(1,n) repeated k times crosses k blocks of n labels; kept until the
+    # push, their lists alone would hold k * n pointers of 8 bytes.  The walk
+    # keeps one mask per letter, so the peak stays under half of that.
+    n, k = 2_000, 200
+    w = word(n, [(1, n)] * k)
+    for decide in (cactus.canonical, lambda w: cactus.equal(w, CactusWord(n)), cactus.order):
+        tracemalloc.start()
+        try:
+            decide(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * n * 8 // 2
 
 
 def test_torsion_witnesses():

@@ -508,6 +508,32 @@ def test_render_writes_file(tmp_path, capsys):
     assert content.startswith("<svg") and content.rstrip().endswith("</svg>")
 
 
+def test_decompose_refuses_more_conjugator_letters_than_the_cap(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("decomposed")
+
+    monkeypatch.setattr(cli.subgroups, "kernel_decompose", fail)
+    # each repeat j puts 2j + 1 and 2j + 2 big letters before its two small
+    # ones, so 500 repeats sum to 2 * 500**2 + 500 conjugator letters
+    repeated = " ".join(["s(1,3) s(1,2) s(2,4) s(1,2)"] * 500)
+    at_cap = " ".join(["s(1,3)"] * 1000 + ["s(1,2)"] * 500)
+    for word, letters in ((repeated, 500_500), (at_cap + " s(1,2)", 501_000)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "decompose", "-n", "4", word, "--min-leaf", "3")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert (f"the conjugators may have {letters} letters,"
+                f" more than MAX_DECOMPOSE_LETTERS = 500000") in err
+
+
+def test_decompose_accepts_a_word_at_the_conjugator_letter_cap(capsys):
+    # 500 small letters after 1,000 big ones: 500,000 conjugator letters at
+    # most, each conjugator the empty canonical form of s(1,3)^1000
+    word = " ".join(["s(1,3)"] * 1000 + ["s(1,2)"] * 500)
+    code, out, _ = run(capsys, "decompose", "-n", "4", word, "--min-leaf", "3")
+    assert code == 0 and out == "1 | s(1,2)\n" * 500
+
+
 def test_image_and_render_refuse_too_many_crossed_labels_before_reading(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("diagram read")

@@ -631,9 +631,9 @@ def test_tiny_word_kernels_match_the_generator_walk_kernels():
     twins = {n: subgroups.IntervalCollection.slice(n, 2, 2) for n in range(2, 25)}
     for w in tiny_word_kernel_inputs():
         labels, old_labels = list(range(1, w.n + 1)), list(range(1, w.n + 1))
-        assert cactus.walk(w.letters, labels) == [block for _, block in oracles.walk(w.letters, old_labels)]
+        assert cactus.walk(w.letters, labels, list) == [block for _, block in oracles.walk(w.letters, old_labels)]
         assert labels == old_labels
-        masks = list(map(sum, cactus.walk(w.letters, cactus._bits(w.n))))
+        masks = cactus.walk(w.letters, cactus._bits(w.n))
         assert racg.push_masks([], masks) == oracles.gen_push_masks([], masks)
         assert cactus.canonical(w) == oracles.gen_canonical(w)
         assert cactus.reduce(w) == oracles.gen_reduce(w)
@@ -642,6 +642,32 @@ def test_tiny_word_kernels_match_the_generator_walk_kernels():
         assert subgroups.is_member(w, twins[w.n]) == oracles.gen_is_member(w, twins[w.n])
         for with_labels in (False, True):
             assert render.render_svg(w, with_labels) == oracles.gen_render_svg(w, with_labels)
+
+
+def test_reading_kernel_matches_the_block_keeping_kernel():
+    # The walk that reads each block and reverses it in place, and the push
+    # that scans back by index, against the walk that kept every block and
+    # the push that scanned with reversed(), also pushing onto a reduced word.
+    rng = random.Random(61)
+    words = list(tiny_word_kernel_inputs())
+    words += [long_word(rng, 1000, length) for length in (0, 1, 40, 300) for _ in range(3)]
+    words += [narrow_word(rng, 1000, length) for length in (40, 300, 2000) for _ in range(3)]
+    for w in words:
+        labels, old_labels = list(range(1, w.n + 1)), list(range(1, w.n + 1))
+        blocks = oracles.block_walk(w.letters, old_labels)
+        assert cactus.walk(w.letters, labels, list) == blocks
+        assert labels == old_labels
+        labels = list(range(1, w.n + 1))
+        assert cactus.walk(w.letters, labels, tuple) == list(map(tuple, blocks))
+        assert labels == old_labels
+        bits, old_bits = cactus._bits(w.n), cactus._bits(w.n)
+        masks = cactus.walk(w.letters, bits)
+        assert masks == list(map(sum, oracles.block_walk(w.letters, old_bits)))
+        assert bits == old_bits
+        reduced = racg.push_masks([], masks)
+        assert reduced == oracles.reversed_push_masks([], masks)
+        assert racg.push_masks(list(reduced), masks) == oracles.reversed_push_masks(list(reduced), masks)
+        assert racg.push_masks(list(reduced), masks[::-1]) == oracles.reversed_push_masks(list(reduced), masks[::-1])
 
 
 def test_ball_orders():
