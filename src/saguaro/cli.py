@@ -1,9 +1,9 @@
 """
 Command-line front end.
 
-Decision subcommands (eq, pure, member) print true/false and use the exit
-code: 0 for true, 1 for false.  Usage and parse errors exit with 2.  Most
-subcommands accept --json for machine-readable output.
+Decision subcommands (eq, pure, member) print true/false and exit 0 for true,
+1 for false.  Usage errors and refusals (each a ValueError, which main prints
+as "error: ...") exit 2.  Most subcommands accept --json for JSON output.
 """
 
 from __future__ import annotations
@@ -50,6 +50,14 @@ MAX_CROSSED_LABELS = 500_000
 # takes about 1.4 s and prints 3.5 MB.
 MAX_DECOMPOSE_LETTERS = 500_000
 
+_BUILTIN_STRANDS = {"J3": 3, "J4": 4}  # the choices of `rs --builtin`, with their strands
+
+
+def _refuse_over(cap: str, count: int, what: str) -> None:
+    """Refuse `what` if count passes the cap named `cap`, read when called."""
+    if count > (limit := globals()[cap]):
+        raise ValueError(f"{what}, more than {cap} = {limit}")
+
 
 def _word_argument(parser: argparse.ArgumentParser, count: int = 1) -> None:
     parser.add_argument(
@@ -65,26 +73,15 @@ def _parse_word(args: argparse.Namespace, name: str = "word") -> cactus.CactusWo
     try:
         return syntax.parse_cactus_word(getattr(args, name), args.n)
     except ValueError as exc:
-        raise SystemExit2(f"{name}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _parse_diagram_word(args: argparse.Namespace) -> cactus.CactusWord:
     """Parse the word of `image` or `render`, refusing one with too many crossed labels."""
     w = _parse_word(args)
-    if (crossed := sum(letter.leaf for letter in w.letters)) > MAX_CROSSED_LABELS:
-        raise SystemExit2(
-            f"word crosses {crossed} labels, more than MAX_CROSSED_LABELS = {MAX_CROSSED_LABELS}"
-        )
+    crossed = sum(letter.leaf for letter in w.letters)
+    _refuse_over("MAX_CROSSED_LABELS", crossed, f"word crosses {crossed} labels")
     return w
-
-
-def _print_read_result(r: cactus.ReadResult, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps({"gauss": [list(l.labels) for l in r.gauss.letters],
-                          "perm": list(r.perm.images)}))
-    else:
-        print(f"d = {r.gauss}")
-        print(f"s = {r.perm}")
 
 
 def _decision(value: bool) -> int:
@@ -92,37 +89,35 @@ def _decision(value: bool) -> int:
     return 0 if value else 1
 
 
-def _check_size(what: str, count: int) -> None:
-    if count > MAX_INTERVALS:
-        raise SystemExit2(f"{what} has {count} intervals, more than the {MAX_INTERVALS} allowed")
-
-
 def _load_collection(args) -> IntervalCollection:
     if args.slice:
         try:
             i, j = (int(x) for x in args.slice.split(","))
         except ValueError:
-            raise SystemExit2(f"--slice needs two integers i,j, got {args.slice!r}") from None
+            raise ValueError(f"--slice needs two integers i,j, got {args.slice!r}") from None
         if 2 <= i <= j <= args.n:  # leaf number k has n - k + 1 intervals
-            _check_size(f"--slice {i},{j} at n={args.n}", (j - i + 1) * (2 * args.n + 2 - i - j) // 2)
+            count = (j - i + 1) * (2 * args.n + 2 - i - j) // 2
+            _refuse_over("MAX_INTERVALS", count,
+                         f"--slice {i},{j} at n={args.n} has {count} intervals")
         return IntervalCollection.slice(args.n, i, j)
     with open(args.collection, encoding="utf-8") as handle:
         try:
             pairs = json.load(handle)
         except json.JSONDecodeError as exc:
-            raise SystemExit2(f"--collection {args.collection}: not JSON: {exc}") from None
+            raise ValueError(f"--collection {args.collection}: not JSON: {exc}") from None
         except ValueError as exc:  # an integer too long for int()
-            raise SystemExit2(f"--collection {args.collection}: {exc}") from None
+            raise ValueError(f"--collection {args.collection}: {exc}") from None
     pairs = pairs if isinstance(pairs, list) else [pairs]
-    _check_size(f"--collection {args.collection}", len(pairs))
+    _refuse_over("MAX_INTERVALS", len(pairs),
+                 f"--collection {args.collection} has {len(pairs)} intervals")
     for pq in pairs:
         if not (isinstance(pq, list) and len(pq) == 2 and all(type(x) is int for x in pq)):
-            raise SystemExit2(f"--collection {args.collection}: expected a JSON list of"
-                              f" [p,q] integer pairs, got {json.dumps(pq)}")
+            raise ValueError(f"--collection {args.collection}: expected a JSON list of"
+                             f" [p,q] integer pairs, got {json.dumps(pq)}")
     try:
         return IntervalCollection.of(args.n, [tuple(pq) for pq in pairs])
     except ValueError as exc:  # an interval out of bounds for n
-        raise SystemExit2(f"--collection {args.collection}: {exc}") from None
+        raise ValueError(f"--collection {args.collection}: {exc}") from None
 
 
 def _presentation_from_args(args):
@@ -181,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     rs = sub.add_parser("rs", help="Reidemeister-Schreier subgroup presentation")
     source = rs.add_mutually_exclusive_group(required=True)
     source.add_argument("--presentation", help="presentation file (gens:/rels: format)")
-    source.add_argument("--builtin", choices=["J3", "J4"], help="builtin cactus presentation")
+    source.add_argument("--builtin", choices=_BUILTIN_STRANDS, help="builtin cactus presentation")
     images = rs.add_mutually_exclusive_group()
     images.add_argument("--images", help="generator image file, 'name: (2,1,3,4)' per line")
     images.add_argument(
@@ -211,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     if getattr(args, "n", 0) > MAX_STRANDS:
-        raise SystemExit2(f"need n <= {MAX_STRANDS}, got {args.n}")
+        raise ValueError(f"need n <= {MAX_STRANDS}, got {args.n}")
     if getattr(args, "n", 2) < 2:
-        raise SystemExit2(f"need n >= 2, got {args.n}")
+        raise ValueError(f"need n >= 2, got {args.n}")
     if args.command == "canon":
         w = cactus.canonical(_parse_word(args))
         if args.json:
@@ -227,18 +222,21 @@ def run(args: argparse.Namespace) -> int:
         return _decision(cactus.equal(u, v))
     if args.command == "order":
         if args.bound < 1:
-            raise SystemExit2(f"--bound must be >= 1, got {args.bound}")
+            raise ValueError(f"--bound must be >= 1, got {args.bound}")
         w = _parse_word(args)
         m, masks, labels = cactus._strand_order(w)
-        if m <= args.bound and not m & (m - 1) and m * len(w) > MAX_POWER_LETTERS:
-            raise SystemExit2(
-                f"c^{m} has {m * len(w)} letters, more than MAX_POWER_LETTERS = {MAX_POWER_LETTERS}"
-            )
+        if m <= args.bound and not m & (m - 1):
+            _refuse_over("MAX_POWER_LETTERS", m * len(w), f"c^{m} has {m * len(w)} letters")
         print("absent" if m > args.bound else cactus._power_order(w, m, masks, labels) or "infinite")
         return 0
     if args.command == "image":
         r = cactus.read_diagram(_parse_diagram_word(args))
-        _print_read_result(r, args.json)
+        if args.json:
+            print(json.dumps({"gauss": [list(l.labels) for l in r.gauss.letters],
+                              "perm": list(r.perm.images)}))
+        else:
+            print(f"d = {r.gauss}")
+            print(f"s = {r.perm}")
         return 0
     if args.command == "pure":
         return _decision(cactus.is_pure(_parse_word(args)))
@@ -257,9 +255,8 @@ def run(args: argparse.Namespace) -> int:
                 letters += bigs
             else:
                 bigs += 1
-        if letters > MAX_DECOMPOSE_LETTERS:
-            raise SystemExit2(f"the conjugators may have {letters} letters,"
-                              f" more than MAX_DECOMPOSE_LETTERS = {MAX_DECOMPOSE_LETTERS}")
+        _refuse_over("MAX_DECOMPOSE_LETTERS", letters,
+                     f"the conjugators may have {letters} letters")
         pieces = subgroups.kernel_decompose(args.min_leaf, w)
         if args.json:
             print(json.dumps([
@@ -298,18 +295,18 @@ def run(args: argparse.Namespace) -> int:
 
 def _run_rs(args: argparse.Namespace) -> int:
     if args.budget < 0:
-        raise SystemExit2(f"need budget >= 0, got {args.budget}")
+        raise ValueError(f"need budget >= 0, got {args.budget}")
     # checked before the presentation is read: the images allocate per strand
     if args.strands is not None and not 2 <= args.strands <= MAX_STRANDS:
-        raise SystemExit2(f"need 2 <= --strands <= {MAX_STRANDS}, got {args.strands}")
+        raise ValueError(f"need 2 <= --strands <= {MAX_STRANDS}, got {args.strands}")
     pres = _presentation_from_args(args)
     if args.images:
         with open(args.images, encoding="utf-8") as handle:
             images = syntax.parse_images_file(handle.read())
-    elif strands := args.strands or {"J3": 3, "J4": 4}.get(args.builtin):
+    elif strands := args.strands or _BUILTIN_STRANDS.get(args.builtin):
         images = strand_images(pres, strands)
     else:
-        raise SystemExit2("rs needs --images or --strands (or --builtin)")
+        raise ValueError("rs needs --images or --strands (or --builtin)")
     transversal = build_transversal(pres, images)
     generators = tuple(g.name for g in rs_generators(transversal))
     raw = rs_relators(pres, transversal)
@@ -342,10 +339,6 @@ def _run_rs(args: argparse.Namespace) -> int:
     return 0
 
 
-class SystemExit2(Exception):
-    """Usage error to be reported with exit code 2."""
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -354,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return run(args)
-    except (SystemExit2, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,9 @@ The acceptance suite: one callable per criterion, runnable from the CLI
 (`saguaro selftest`) or from pytest.  Each check returns a list of failure
 messages; an empty list is a pass.  The CLI and pytest run each criterion
 through run_criterion, which times it and fails it at its time limit, if
-any.  Batch sizes follow the stated criteria; quick mode shrinks the random
-batches and criterion 5's ball, never the other exhaustive parts.
+any.  Each check takes (rng, quick) and states its quick and full batch sizes
+inline; the full ones follow the stated criteria, and quick mode shrinks the
+random batches and criterion 5's ball, never the other exhaustive parts.
 
 The random number generator is seeded (SAGUARO_SEED overrides the default),
 so runs are reproducible.
@@ -12,7 +13,6 @@ so runs are reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 import random
@@ -31,32 +31,7 @@ DEFAULT_SEED = 20251
 J4_LETTERS = [(p, q) for p in range(1, 5) for q in range(p + 1, 5)]
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Sizes:
-    pairs: int = 10_000
-    perturbations: int = 10_000
-    torsion_words: int = 1_000
-    pure_words: int = 1_000
-    eraser_pairs: int = 1_000
-    decompositions: int = 100
-    trivial_words: int = 1_000
-    ball: tuple[int, int] = (5, 5)  # J_n and radius of criterion 5's ball
-
-    @staticmethod
-    def quick() -> Sizes:
-        return Sizes(
-            ball=(4, 5),
-            pairs=500,
-            perturbations=500,
-            torsion_words=100,
-            pure_words=100,
-            eraser_pairs=100,
-            decompositions=20,
-            trivial_words=100,
-        )
-
-
-def check_fig2_reading(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_fig2_reading(rng: random.Random, quick: bool) -> list[str]:
     r = cactus.read_diagram(word(4, [(1, 2), (2, 4), (1, 3)]))
     failures = []
     if str(r.gauss) != "t{1,2} t{1,3,4} t{2,3,4}":
@@ -66,13 +41,13 @@ def check_fig2_reading(rng: random.Random, sizes: Sizes) -> list[str]:
     return failures
 
 
-def check_braid_relation_fails(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_braid_relation_fails(rng: random.Random, quick: bool) -> list[str]:
     u = word(3, [(1, 2), (2, 3), (1, 2)])
     v = word(3, [(2, 3), (1, 2), (2, 3)])
     return [] if not cactus.equal(u, v) else ["braid relation unexpectedly holds"]
 
 
-def check_conjugation_identities(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_conjugation_identities(rng: random.Random, quick: bool) -> list[str]:
     failures = []
     if not cactus.equal(word(4, [(3, 4)]), word(4, [(1, 4), (1, 2), (1, 4)])):
         failures.append("s(3,4) != s(1,4) s(1,2) s(1,4)")
@@ -83,7 +58,7 @@ def check_conjugation_identities(rng: random.Random, sizes: Sizes) -> list[str]:
     return failures
 
 
-def check_torsion_witnesses(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_torsion_witnesses(rng: random.Random, quick: bool) -> list[str]:
     failures = []
     for k, expected in ((1, 2), (2, 4), (3, 8)):
         got = cactus.order(cactus.torsion_witness(k), bound=64)
@@ -92,21 +67,21 @@ def check_torsion_witnesses(rng: random.Random, sizes: Sizes) -> list[str]:
     return failures
 
 
-def check_torsion_parity(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_torsion_parity(rng: random.Random, quick: bool) -> list[str]:
     # order() returns None when m, the order of the strand permutation, is
     # not a power of two (J_n has only even torsion); test that theorem here
     # rather than assume it: c^m must then be non-trivial.  A finite order is m.
     failures = []
-    n, radius = sizes.ball
-    ball = spheres(n, radius)
-    words = (sampling.random_word(4, 6, rng) for _ in range(sizes.torsion_words))
+    n = 4 if quick else 5  # the ball of radius 5 in J_n
+    ball = spheres(n, 5)
+    words = (sampling.random_word(4, 6, rng) for _ in range(100 if quick else 1_000))
     for w in itertools.chain(words, *ball):
         m = cactus.s_image(w).order()
         if m & (m - 1) and cactus.is_trivial(w.power(m)):
             failures.append(f"c^{m} is trivial for {w}: an order that is not a power of two")
         if (got := cactus.order(w, bound=64)) is not None and got != m:
             failures.append(f"order {got} of {w} is not m = {m}")
-    for _ in range(sizes.pure_words):
+    for _ in range(100 if quick else 1_000):
         w = sampling.random_pure_word(4, 6, rng)
         # order() assumes PJ_n torsion-free; test it here directly: in a
         # right-angled Coxeter group, the only finite order besides 1 is 2.
@@ -140,7 +115,7 @@ def _sphere_sizes_by_moves(n: int, radius: int) -> list[int]:
     return [list(shortest.values()).count(r) for r in range(radius + 1)]
 
 
-def check_centerless(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_centerless(rng: random.Random, quick: bool) -> list[str]:
     failures = []
     for n, radius, letters in ((4, 3, [(1, 2), (1, 3), (1, 4)]),
                                (5, 4, itertools.combinations(range(1, 6), 2))):
@@ -160,7 +135,7 @@ def check_centerless(rng: random.Random, sizes: Sizes) -> list[str]:
     return failures
 
 
-def check_j3_structure(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_j3_structure(rng: random.Random, quick: bool) -> list[str]:
     failures = []
     b = word(3, [(1, 2), (1, 3)])
     if cactus.order(b, bound=64) is not None:
@@ -173,12 +148,12 @@ def check_j3_structure(rng: random.Random, sizes: Sizes) -> list[str]:
     return failures
 
 
-def check_pj4_identities(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_pj4_identities(rng: random.Random, quick: bool) -> list[str]:
     report = rschreier.verify_pj4()
     return [name for name, ok in report.checks if not ok]
 
 
-def check_rs_j3(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_rs_j3(rng: random.Random, quick: bool) -> list[str]:
     failures = []
     p = builtin("J3")
     t = build_transversal(p, strand_images(p, 3))
@@ -230,7 +205,7 @@ def _rs_word_to_cactus(t: rschreier.Transversal, signed, n: int) -> CactusWord:
     return word(n, [rschreier.interval_of(name, n) for name, _ in ambient])
 
 
-def check_rs_j4(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_rs_j4(rng: random.Random, quick: bool) -> list[str]:
     failures = []
     p = builtin("J4")
     images = strand_images(p, 4)
@@ -301,7 +276,7 @@ def _rewriting_graph_components(letters: list, max_length: int, exchange: Callab
     return {w: find(i) for w, i in index.items()}
 
 
-def check_racg_oracle(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_racg_oracle(rng: random.Random, quick: bool) -> list[str]:
     letters = [tau(1, 2), tau(1, 3), tau(3, 4), tau(1, 2, 3)]
     components = _rewriting_graph_components(
         letters, 8, lambda a, b: (b, a) if racg.commutes(a, b) else None
@@ -320,9 +295,9 @@ def check_racg_oracle(rng: random.Random, sizes: Sizes) -> list[str]:
     return failures
 
 
-def check_cocycle_and_moves(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_cocycle_and_moves(rng: random.Random, quick: bool) -> list[str]:
     failures = []
-    for _ in range(sizes.pairs):
+    for _ in range(500 if quick else 10_000):
         u = sampling.random_word(5, 8, rng)
         v = sampling.random_word(5, 8, rng)
         left = cactus.cocycle_product(u, v)
@@ -333,7 +308,7 @@ def check_cocycle_and_moves(rng: random.Random, sizes: Sizes) -> list[str]:
         if cactus.s_image(u) * cactus.s_image(v) != right.perm:
             failures.append(f"permutation morphism mismatch for {u} | {v}")
             break
-    for _ in range(sizes.perturbations):
+    for _ in range(500 if quick else 10_000):
         w = sampling.random_word(5, 8, rng)
         moved = sampling.random_move(w, rng)
         if not cactus.equal(w, moved):
@@ -342,13 +317,13 @@ def check_cocycle_and_moves(rng: random.Random, sizes: Sizes) -> list[str]:
     return failures
 
 
-def check_erasers(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_erasers(rng: random.Random, quick: bool) -> list[str]:
     failures = []
     for n in range(2, 7):
         for i in range(2, n + 1):
             if not subgroups.check_eraser_welldefined(i, n):
                 failures.append(f"eraser not well defined at i={i}, n={n}")
-    for _ in range(sizes.eraser_pairs):
+    for _ in range(100 if quick else 1_000):
         n, i = 4, rng.randint(2, 4)
         slice_letters = [pq for pq in J4_LETTERS if pq[1] - pq[0] + 1 >= i]
         w = word(n, [rng.choice(slice_letters) for _ in range(rng.randint(0, 6))])
@@ -362,7 +337,7 @@ def check_erasers(rng: random.Random, sizes: Sizes) -> list[str]:
         if not cactus.equal(image, split):
             failures.append(f"eraser homomorphism fails for {u} | {v} at i={i}")
             break
-    for _ in range(sizes.decompositions):
+    for _ in range(20 if quick else 100):
         w = sampling.random_word(4, 8, rng)
         i = rng.randint(2, 4)
         product = CactusWord(4)
@@ -374,11 +349,11 @@ def check_erasers(rng: random.Random, sizes: Sizes) -> list[str]:
     return failures
 
 
-def check_subgroup_completeness(rng: random.Random, sizes: Sizes) -> list[str]:
+def check_subgroup_completeness(rng: random.Random, quick: bool) -> list[str]:
     failures = []
     c22 = IntervalCollection.slice(4, 2, 2)
     adjacent = [(1, 2), (2, 3), (3, 4)]
-    for _ in range(sizes.trivial_words):
+    for _ in range(100 if quick else 1_000):
         base = word(4, [rng.choice(adjacent) for _ in range(rng.randint(1, 6))])
         trivial = base * base.inverse()
         for _ in range(rng.randint(0, 12)):
@@ -413,7 +388,7 @@ def check_subgroup_completeness(rng: random.Random, sizes: Sizes) -> list[str]:
     return failures
 
 
-Check = Callable[[random.Random, Sizes], list[str]]
+Check = Callable[[random.Random, bool], list[str]]
 
 CHECKS: tuple[tuple[int, str, Check, float | None], ...] = (
     (1, "diagram reading reproduces the worked example", check_fig2_reading, None),
@@ -442,11 +417,11 @@ def seed_from_env() -> int:
         raise ValueError(f"SAGUARO_SEED={shown} is not an integer seed") from None
 
 
-def run_criterion(number: int, check: Check, limit: float | None, sizes: Sizes, seed: int):
+def run_criterion(number: int, check: Check, limit: float | None, quick: bool, seed: int):
     """The failures and wall time of one criterion, run once on
     random.Random(seed + number); taking limit seconds or longer fails it."""
     start = time.perf_counter()
-    failures = check(random.Random(seed + number), sizes)
+    failures = check(random.Random(seed + number), quick)
     elapsed = time.perf_counter() - start
     if limit is not None and elapsed >= limit:
         failures.append(f"took {elapsed:.1f} s, not under its {limit} s limit")
@@ -454,11 +429,10 @@ def run_criterion(number: int, check: Check, limit: float | None, sizes: Sizes, 
 
 
 def run(quick: bool = False, seed: int | None = None, emit=print) -> bool:
-    sizes = Sizes.quick() if quick else Sizes()
     seed = seed_from_env() if seed is None else seed
     all_ok = True
     for number, title, check, limit in CHECKS:
-        failures, elapsed = run_criterion(number, check, limit, sizes, seed)
+        failures, elapsed = run_criterion(number, check, limit, quick, seed)
         status = "ok  " if not failures else "FAIL"
         emit(f"{status} {number:2d}  {title} ({elapsed:.2f} s)")
         for message in failures:

@@ -18,7 +18,7 @@ from saguaro import selftest
 )
 def test_acceptance(number, title, check, limit):
     failures, elapsed = selftest.run_criterion(
-        number, check, limit, selftest.Sizes(), selftest.seed_from_env()
+        number, check, limit, False, selftest.seed_from_env()
     )
     status = "ok  " if not failures else "FAIL"
     print(f"{status} {number:2d}  {title} ({elapsed:.2f} s)")

@@ -1,6 +1,8 @@
 import itertools
 import json
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -234,7 +236,7 @@ def test_member_refuses_oversized_slice_before_building(monkeypatch, capsys):
     monkeypatch.setattr(cli, "IntervalCollection", _Unbuilt)
     code, out, err = run(capsys, "member", "-n", "6", "s(1,2)", "--slice", "2,4")
     assert code == 2 and out == ""
-    assert "--slice 2,4 at n=6 has 12 intervals, more than the 11 allowed" in err
+    assert "--slice 2,4 at n=6 has 12 intervals, more than MAX_INTERVALS = 11\n" in err
     code, _, err = run(capsys, "member", "-n", "10000", "s(1,2)", "--slice", "2,10000")
     assert code == 2 and "has 49995000 intervals" in err
 
@@ -253,7 +255,7 @@ def test_member_refuses_oversized_collection_file_before_building(tmp_path, monk
     monkeypatch.setattr(cli, "IntervalCollection", _Unbuilt)
     code, out, err = run(capsys, *word)
     assert code == 2 and out == ""
-    assert f"--collection {collection} has 3 intervals, more than the 2 allowed" in err
+    assert f"--collection {collection} has 3 intervals, more than MAX_INTERVALS = 2\n" in err
     monkeypatch.undo()
     monkeypatch.setattr(cli, "MAX_INTERVALS", 3)
     code, out, _ = run(capsys, *word)
@@ -577,6 +579,17 @@ def test_readme_names_every_cap():
     assert [cap for cap in caps if f"`{cap}`" not in text] == []
 
 
+def test_importing_the_cli_loads_neither_selftest_nor_sampling():
+    # selftest is imported on use, so no other command compiles it or sampling
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    script = (f"import json, sys; sys.path.insert(0, {src!r}); import saguaro.cli; "
+              "print(json.dumps(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert "saguaro.cli" in loaded
+    assert {"saguaro.selftest", "saguaro.sampling"} & loaded == set()
+
+
 def test_selftest_quick(capsys):
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 0
@@ -610,16 +623,15 @@ def test_selftest_names_a_bad_seed_variable(monkeypatch, capsys, value, shown):
 def test_a_criterion_at_or_over_its_limit_fails_in_run_and_in_the_runner(monkeypatch):
     number, title, check, limit = selftest.CHECKS[3]
     monkeypatch.setattr(selftest, "CHECKS", ((number, title, check, limit),))
-    sizes = selftest.Sizes.quick()
     for step, failures in ((9.99, []), (10, ["took 10.0 s, not under its 10 s limit"])):
         ticks = itertools.count()  # each reading of the clock is step seconds after the last
         monkeypatch.setattr(selftest.time, "perf_counter", lambda: next(ticks) * step)
-        assert selftest.run_criterion(number, check, limit, sizes, 1) == (failures, step)
+        assert selftest.run_criterion(number, check, limit, True, 1) == (failures, step)
         lines = []
         assert selftest.run(quick=True, seed=1, emit=lines.append) == (not failures)
         status = "FAIL" if failures else "ok  "
         assert lines == [f"{status}  4  {title} ({step:.2f} s)"] + [f"         {m}" for m in failures]
-    assert selftest.run_criterion(number, check, None, sizes, 1)[0] == []
+    assert selftest.run_criterion(number, check, None, True, 1)[0] == []
 
 
 def test_usage_errors_exit_2(capsys):
